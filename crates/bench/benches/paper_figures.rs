@@ -6,9 +6,29 @@
 //! the kernels that regenerate the paper's results.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use freedom::fleet::{
+    FleetConfig, FleetReport, FleetSimulator, NoopRecorder, PlacementStrategy, ReplayStats,
+    StreamTrace,
+};
 use freedom_bench::bench_opts;
 use freedom_experiments as exp;
 use freedom_optimizer::Objective;
+
+/// One untraced idle-aware streaming replay — the call every fleet bench
+/// below times.
+fn replay_stream(
+    sim: &FleetSimulator,
+    trace: &StreamTrace,
+    config: &FleetConfig,
+) -> (FleetReport, ReplayStats) {
+    sim.run_stream_traced(
+        trace,
+        PlacementStrategy::IdleAware,
+        config,
+        &mut NoopRecorder,
+    )
+    .expect("replay")
+}
 
 fn bench_experiments(c: &mut Criterion) {
     let opts = bench_opts();
@@ -97,20 +117,13 @@ fn bench_parallel_vs_sequential(c: &mut Criterion) {
 
 /// Shared-spot-market replay at Azure-trace scale: an hour-long
 /// heavy-tail trace over 120 functions contending for one fluctuating
-/// market, replayed with the sequential reference engine and the
-/// windowed engine (60 s windows, boundary reconciliation) at 1/4/8
-/// workers — bit-identical outputs, see `crates/core/README.md`.
-/// `sequential` vs `windowed_8` is the headline fleet-scale speedup; it
-/// needs a ≥4-core machine to show up in wall clock, and `windowed_1`
-/// tracks the reconciliation overhead the speculation pays on one core.
+/// market, replayed over pre-built events with the materialized `run`.
 /// Included in the quick-bench `BENCH_pr.json` artifact like every other
 /// bench here, so the perf trajectory records fleet-scale numbers per
 /// PR.
 fn bench_spot_market(c: &mut Criterion) {
     use exp::fleet_simulation::{market_config, market_tightness, synthetic_plans};
-    use freedom::fleet::{
-        AdmissionPolicy, FleetConfig, FleetSimulator, PlacementStrategy, TraceSource,
-    };
+    use freedom::fleet::{AdmissionPolicy, TraceSource};
 
     let mut group = c.benchmark_group("spot_market");
     group.sample_size(10);
@@ -133,14 +146,6 @@ fn bench_spot_market(c: &mut Criterion) {
                 .expect("replay")
         })
     });
-    for threads in [1usize, 4, 8] {
-        group.bench_function(format!("hour_120fn_windowed_{threads}"), |b| {
-            b.iter(|| {
-                sim.run_windowed(&trace, PlacementStrategy::IdleAware, &config, threads, 60.0)
-                    .expect("replay")
-            })
-        });
-    }
     group.finish();
 }
 
@@ -150,9 +155,8 @@ fn bench_spot_market(c: &mut Criterion) {
 /// `static` prices the tick machinery itself (observation accumulation
 /// and no-op ticks over the open-loop engine), `pid` adds the feedback
 /// arithmetic, and `right_sizer` adds the per-function surrogate refits
-/// and batched re-planning. `windowed_pid_4` tracks the controller
-/// state crossing window boundaries under reconciliation. Feeds the
-/// quick-bench `BENCH_pr.json` artifact like every other group here.
+/// and batched re-planning. Feeds the quick-bench `BENCH_pr.json`
+/// artifact like every other group here.
 ///
 /// Right-sizer tick amortization (batch the epoch's fresh observations
 /// into one warm-start `fit_update` per function instead of one per
@@ -162,8 +166,7 @@ fn bench_spot_market(c: &mut Criterion) {
 fn bench_control_loop(c: &mut Criterion) {
     use exp::fleet_simulation::{market_config, market_tightness, synthetic_plans};
     use freedom::fleet::{
-        AdmissionPolicy, ControlConfig, ControllerConfig, FleetConfig, FleetSimulator, PidConfig,
-        PlacementStrategy, RightSizerConfig, TraceSource,
+        AdmissionPolicy, ControlConfig, ControllerConfig, PidConfig, RightSizerConfig, TraceSource,
     };
 
     let mut group = c.benchmark_group("control_loop");
@@ -205,13 +208,6 @@ fn bench_control_loop(c: &mut Criterion) {
             })
         });
     }
-    let pid = config(ControllerConfig::HeadroomPid(PidConfig::default()));
-    group.bench_function("hour_120fn_windowed_pid_4", |b| {
-        b.iter(|| {
-            sim.run_windowed(&trace, PlacementStrategy::IdleAware, &pid, 4, 60.0)
-                .expect("replay")
-        })
-    });
     group.finish();
 }
 
@@ -236,9 +232,7 @@ fn bench_control_loop(c: &mut Criterion) {
 /// in-flight placements + cursor lookahead, the whole memory story.
 fn bench_streaming_replay(c: &mut Criterion) {
     use exp::fleet_simulation::{market_config, market_tightness, synthetic_plans};
-    use freedom::fleet::{
-        AdmissionPolicy, FleetConfig, FleetSimulator, PlacementStrategy, StreamTrace, TraceSource,
-    };
+    use freedom::fleet::{AdmissionPolicy, TraceSource};
 
     let mut group = c.benchmark_group("streaming_replay");
     group.sample_size(10);
@@ -275,11 +269,7 @@ fn bench_streaming_replay(c: &mut Criterion) {
         })
     });
     group.bench_function("hour_120fn_streaming", |b| {
-        b.iter(|| {
-            hour_sim
-                .run_stream(&hour, PlacementStrategy::IdleAware, &config)
-                .expect("replay")
-        })
+        b.iter(|| replay_stream(&hour_sim, &hour, &config).0)
     });
 
     let day_sim =
@@ -296,20 +286,14 @@ fn bench_streaming_replay(c: &mut Criterion) {
     )
     .expect("day-long heavy-tail trace");
     group.bench_function("day_1200fn_streaming", |b| {
-        b.iter(|| {
-            day_sim
-                .run_stream(&day, PlacementStrategy::IdleAware, &config)
-                .expect("replay")
-        })
+        b.iter(|| replay_stream(&day_sim, &day, &config).0)
     });
     group.finish();
 
     // One instrumented replay for the counters: peak resident events
     // must be in-flight + cursor lookahead, never total arrivals.
     let started = std::time::Instant::now();
-    let (_, stats) = day_sim
-        .run_stream_with_stats(&day, PlacementStrategy::IdleAware, &config)
-        .expect("replay");
+    let (_, stats) = replay_stream(&day_sim, &day, &config);
     let events_per_sec = stats.events as f64 / started.elapsed().as_secs_f64();
     assert!(
         stats.peak_resident_events() < stats.events / 100,
@@ -336,49 +320,6 @@ fn bench_streaming_replay(c: &mut Criterion) {
         stats.peak_resident_events() as f64,
         "events",
     );
-
-    // The day-scale threads sweep: windowed streaming replay across
-    // threads × window sizes, each row reporting events/sec and the
-    // overhead ratio against the single-threaded `run_stream` pass
-    // timed above. On multi-core CI runners the 4- and 8-thread rows
-    // are the near-linear-scaling acceptance evidence; the ratio also
-    // pins the windowed engine's overhead (speculation + checkpoint
-    // ladder) at 1 thread. In quick/--fast mode the sweep shrinks to a
-    // single smoke cell so CI still validates the counter plumbing.
-    let t1 = started.elapsed().as_secs_f64();
-    let (threads_sweep, windows_sweep): (&[usize], &[f64]) = if criterion::is_quick() {
-        (&[2], &[60.0])
-    } else {
-        (&[1, 2, 4, 8], &[10.0, 60.0])
-    };
-    for &window_secs in windows_sweep {
-        for &threads in threads_sweep {
-            let t0 = std::time::Instant::now();
-            let report = day_sim
-                .run_stream_windowed(
-                    &day,
-                    PlacementStrategy::IdleAware,
-                    &config,
-                    threads,
-                    window_secs,
-                )
-                .expect("windowed replay");
-            let elapsed = t0.elapsed().as_secs_f64();
-            std::hint::black_box(report);
-            let id = format!("streaming_replay/day_1200fn_windowed_t{threads}_w{window_secs:.0}s");
-            println!(
-                "bench {id}: {:.0} events/sec, {:.2}x of single-thread streaming",
-                stats.events as f64 / elapsed,
-                elapsed / t1,
-            );
-            freedom_bench::report_counter(
-                &format!("{id}_events_per_sec"),
-                stats.events as f64 / elapsed,
-                "events/sec",
-            );
-            freedom_bench::report_counter(&format!("{id}_overhead"), elapsed / t1, "ratio");
-        }
-    }
 }
 
 /// The failure-domain replay at Azure-trace scale: the hour-long
@@ -397,9 +338,7 @@ fn bench_streaming_replay(c: &mut Criterion) {
 fn bench_zone_outage(c: &mut Criterion) {
     use exp::fleet_simulation::{market_config, market_tightness, synthetic_plans};
     use exp::fleet_zone_outage::{fault_presets, zone_layout};
-    use freedom::fleet::{
-        AdmissionPolicy, FleetConfig, FleetSimulator, PlacementStrategy, StreamTrace, TraceSource,
-    };
+    use freedom::fleet::{AdmissionPolicy, TraceSource};
     use freedom::market::MarketConfig;
 
     let mut group = c.benchmark_group("zone_outage");
@@ -430,12 +369,7 @@ fn bench_zone_outage(c: &mut Criterion) {
     )
     .expect("hour-long heavy-tail trace");
     for (name, config) in [("hour_120fn_calm", &calm), ("hour_120fn_stormy", &stormy)] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                sim.run_stream(&trace, PlacementStrategy::IdleAware, config)
-                    .expect("replay")
-            })
-        });
+        group.bench_function(name, |b| b.iter(|| replay_stream(&sim, &trace, config).0));
     }
     group.finish();
 
@@ -443,9 +377,7 @@ fn bench_zone_outage(c: &mut Criterion) {
     // faults, and the migration overhead the stormy hour pays.
     let time_one = |config: &FleetConfig| {
         let t0 = std::time::Instant::now();
-        let report = sim
-            .run_stream(&trace, PlacementStrategy::IdleAware, config)
-            .expect("replay");
+        let report = replay_stream(&sim, &trace, config).0;
         (t0.elapsed().as_secs_f64(), report)
     };
     let (calm_secs, calm_report) = time_one(&calm);
@@ -492,9 +424,7 @@ fn bench_zone_outage(c: &mut Criterion) {
 ///
 /// Counters reported into `BENCH_pr.json`: events/sec, ns/event, peak
 /// resident events, and decompress MB/s (compressed input over replay
-/// wall clock — the streaming reader inflates every byte it replays),
-/// plus a windowed row whose overhead ratio prices the speculation +
-/// reconciliation machinery at week scale.
+/// wall clock — the streaming reader inflates every byte it replays).
 ///
 /// A one-day anchor row with the same functions, market, and trace
 /// generator rides along: it is the day-scale baseline at *identical*
@@ -503,9 +433,7 @@ fn bench_zone_outage(c: &mut Criterion) {
 fn bench_week_replay(c: &mut Criterion) {
     use exp::fleet_simulation::{market_config, market_tightness, synthetic_plans};
     use exp::week_trace::WeekTraceSpec;
-    use freedom::fleet::{
-        AdmissionPolicy, FleetConfig, FleetSimulator, PlacementStrategy, StreamTrace,
-    };
+    use freedom::fleet::AdmissionPolicy;
 
     let spec = if criterion::is_quick() {
         WeekTraceSpec::downscaled()
@@ -530,17 +458,13 @@ fn bench_week_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("week_replay");
     group.sample_size(10);
     group.bench_function(format!("{tag}_gz_streaming"), |b| {
-        b.iter(|| {
-            sim.run_stream(&trace, PlacementStrategy::IdleAware, &config)
-                .expect("replay")
-        })
+        b.iter(|| replay_stream(&sim, &trace, &config).0)
     });
     group.finish();
 
     // The instrumented passes behind the headline counters: the one-day
     // anchor first, then the multi-day trace.
     let anchor_spec = WeekTraceSpec { days: 1, ..spec };
-    let mut wall = 0.0;
     let mut stats = None;
     for day_spec in [&anchor_spec, &spec] {
         let day_tag = day_spec.tag();
@@ -549,9 +473,7 @@ fn bench_week_replay(c: &mut Criterion) {
         let day_refs: Vec<&[u8]> = day_parts.iter().map(|p| p.as_slice()).collect();
         let day_trace = StreamTrace::from_csv_parts(&day_refs).expect("scan gz day parts");
         let started = std::time::Instant::now();
-        let (_, s) = sim
-            .run_stream_with_stats(&day_trace, PlacementStrategy::IdleAware, &config)
-            .expect("replay");
+        let (_, s) = replay_stream(&sim, &day_trace, &config);
         let day_wall = started.elapsed().as_secs_f64();
         let events_per_sec = s.events as f64 / day_wall;
         assert!(
@@ -590,7 +512,6 @@ fn bench_week_replay(c: &mut Criterion) {
             day_gz_bytes as f64 / 1e6 / day_wall,
             "MB/s",
         );
-        wall = day_wall;
         stats = Some(s);
     }
     let stats = stats.expect("instrumented pass ran");
@@ -611,9 +532,7 @@ fn bench_week_replay(c: &mut Criterion) {
         let mut dropped = 0;
         for _ in 0..reps {
             let t0 = std::time::Instant::now();
-            let report = sim
-                .run_stream(&trace, PlacementStrategy::IdleAware, &config)
-                .expect("replay");
+            let report = replay_stream(&sim, &trace, &config).0;
             off_best = off_best.min(t0.elapsed().as_secs_f64());
             std::hint::black_box(report);
 
@@ -646,34 +565,6 @@ fn bench_week_replay(c: &mut Criterion) {
             "ratio",
         );
     }
-
-    // Windowed row: hour-long windows across the whole span, overhead
-    // priced against the single-pass streaming wall clock above.
-    let threads = if criterion::is_quick() { 2 } else { 8 };
-    let t0 = std::time::Instant::now();
-    let report = sim
-        .run_stream_windowed(
-            &trace,
-            PlacementStrategy::IdleAware,
-            &config,
-            threads,
-            3600.0,
-        )
-        .expect("windowed replay");
-    let elapsed = t0.elapsed().as_secs_f64();
-    std::hint::black_box(report);
-    let id = format!("week_replay/{tag}_windowed_t{threads}_w3600s");
-    println!(
-        "bench {id}: {:.0} events/sec, {:.2}x of single-pass streaming",
-        stats.events as f64 / elapsed,
-        elapsed / wall,
-    );
-    freedom_bench::report_counter(
-        &format!("{id}_events_per_sec"),
-        stats.events as f64 / elapsed,
-        "events/sec",
-    );
-    freedom_bench::report_counter(&format!("{id}_overhead"), elapsed / wall, "ratio");
 }
 
 /// The retry path at week scale: the same multi-day gz trace as
@@ -694,10 +585,7 @@ fn bench_week_replay(c: &mut Criterion) {
 fn bench_retry_storm(c: &mut Criterion) {
     use exp::fleet_simulation::{market_config, market_tightness, synthetic_plans};
     use exp::week_trace::WeekTraceSpec;
-    use freedom::fleet::{
-        AdmissionPolicy, FaultPlan, FleetConfig, FleetSimulator, PlacementStrategy, RetryPolicy,
-        StreamTrace,
-    };
+    use freedom::fleet::{AdmissionPolicy, FaultPlan, RetryPolicy};
 
     let spec = if criterion::is_quick() {
         WeekTraceSpec::downscaled()
@@ -740,10 +628,7 @@ fn bench_retry_storm(c: &mut Criterion) {
     let mut group = c.benchmark_group("retry_storm");
     group.sample_size(10);
     group.bench_function(format!("{tag}_flaky_streaming"), |b| {
-        b.iter(|| {
-            sim.run_stream(&trace, PlacementStrategy::IdleAware, &flaky)
-                .expect("replay")
-        })
+        b.iter(|| replay_stream(&sim, &trace, &flaky).0)
     });
     group.finish();
 
@@ -761,17 +646,13 @@ fn bench_retry_storm(c: &mut Criterion) {
     let mut retried = 0usize;
     for _ in 0..reps {
         let t0 = std::time::Instant::now();
-        let report = sim
-            .run_stream(&trace, PlacementStrategy::IdleAware, &calm)
-            .expect("replay");
+        let report = replay_stream(&sim, &trace, &calm).0;
         calm_best = calm_best.min(t0.elapsed().as_secs_f64());
         calm_events = report.invocations;
         std::hint::black_box(report);
 
         let t0 = std::time::Instant::now();
-        let report = sim
-            .run_stream(&trace, PlacementStrategy::IdleAware, &flaky)
-            .expect("replay");
+        let report = replay_stream(&sim, &trace, &flaky).0;
         flaky_best = flaky_best.min(t0.elapsed().as_secs_f64());
         retried = report.retried;
         flaky_events = report.invocations + report.retried;

@@ -23,35 +23,31 @@
 //!   violations, and the admission ledger (admitted / demoted /
 //!   rejected).
 //!
-//! # Windowed replay and determinism
+//! # One replay engine and determinism
 //!
-//! The shared ledger couples every function, so the old per-function
-//! sharding no longer decomposes the fleet. Instead the replay is
-//! **time-windowed with boundary reconciliation**: the merged event
-//! stream splits into fixed epochs ([`Trace::window_bounds`]), windows
-//! simulate speculatively in parallel, and the in-flight ledger state
-//! crossing each boundary is reconciled — a window whose speculative
-//! starting state turns out wrong is re-run with the true carry-over
-//! until the chain reaches a fixed point. [`run`](FleetSimulator::run)
-//! is the sequential reference engine (one window spanning the whole
-//! trace); [`run_windowed`](FleetSimulator::run_windowed) is
-//! bit-identical to it for every thread count and window size (guarded
-//! by `tests/determinism.rs`). See `crates/core/README.md` for the full
-//! contract.
+//! The shared ledger couples every function, so the replay is one
+//! sequential pass over the merged event stream: every arrival, completion,
+//! supply step, notice, retry and controller tick fires in one global time
+//! order. There are three entry points over that single engine:
 //!
-//! Every engine pulls events through the same iterator interface, so
-//! the trace may be a materialized [`Trace`] or a lazy [`StreamTrace`]:
-//! [`run_stream`](FleetSimulator::run_stream) and
-//! [`run_stream_windowed`](FleetSimulator::run_stream_windowed) replay
-//! with peak memory O(functions + in-flight placements) instead of
-//! O(total arrivals) — windows re-seek their events by epoch through
-//! cursor checkpoints ([`crate::stream`], "streaming cursor contract"
-//! in the README) — and stay bit-identical to the materialized
-//! reference.
+//! - [`run`](FleetSimulator::run) replays a materialized [`Trace`] — the
+//!   reference the tests compare against;
+//! - [`run_stream_traced`](FleetSimulator::run_stream_traced) replays a
+//!   lazy [`StreamTrace`] with peak memory O(functions + in-flight
+//!   placements) instead of O(total arrivals), under any telemetry
+//!   [`Recorder`] ([`NoopRecorder`] compiles the instrumentation away);
+//! - [`run_stream_resumable_traced`](FleetSimulator::run_stream_resumable_traced)
+//!   cuts the same pass into epochs and, at each boundary, hands out a
+//!   crash-resume [`ReplaySnapshot`] carrying the exact in-flight,
+//!   retry, and controller state.
+//!
+//! All three are bit-identical for the same trace, whatever the recorder
+//! and wherever a resumable run was killed and resumed (guarded by
+//! `tests/determinism.rs` and `tests/crash_resume.rs`). See
+//! `crates/core/README.md` for the full contract.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use freedom_faas::PerfTable;
 use freedom_linalg::stats;
@@ -60,21 +56,19 @@ use freedom_telemetry as tel;
 use freedom_workloads::FunctionKind;
 
 use crate::controller::{
-    admission_ceiling, control_state_eq, hash_control_state, hash_obs_accum, update_brownout,
-    ControlSample, ControlScratch, ControlState, Controller, FunctionView, ObsAccum, Observation,
-    MAX_TICKS,
+    admission_ceiling, update_brownout, ControlSample, ControlScratch, ControlState, Controller,
+    FunctionView, ObsAccum, Observation, MAX_TICKS,
 };
 pub use crate::faults::FaultPlan;
 use crate::faults::TransientFault;
 use crate::market::{
-    carry_eq, family_index, hash_inflight, Fnv64, InFlight, MarketConfig, SpotLedger,
-    SupplySchedule, N_MARKET_FAMILIES, RUN_ABORT, RUN_HEDGE, RUN_NORMAL,
+    family_index, Fnv64, InFlight, MarketConfig, SpotLedger, SupplySchedule, N_MARKET_FAMILIES,
+    RUN_ABORT, RUN_HEDGE, RUN_NORMAL,
 };
 use crate::provider::PlannedPlacement;
 use crate::retry::{PendingRetry, RetryBudget, KIND_HEDGE, KIND_RETRY};
 use crate::snapshot::{ReplaySnapshot, Unwire, Wire, SNAPSHOT_VERSION};
 use crate::trace::{event_nanos, MAX_WINDOWS};
-use crate::wheel::CompletionQueue;
 use crate::{FreedomError, Result};
 
 pub use crate::controller::{ControlConfig, ControllerConfig, PidConfig, RightSizerConfig};
@@ -83,7 +77,6 @@ pub use crate::retry::{BrownoutConfig, RetryPolicy};
 pub use crate::snapshot::SNAPSHOT_VERSION as REPLAY_SNAPSHOT_VERSION;
 pub use crate::stream::{EventStream, StreamCheckpoint, StreamTrace};
 pub use crate::trace::{Trace, TraceEvent, TraceSource};
-pub use crate::wheel::CompletionQueueKind;
 pub use freedom_telemetry::{NoopRecorder, Recorder, Telemetry};
 
 /// How the provider places each invocation.
@@ -266,41 +259,6 @@ const CLASS_DEAD_LETTERED: u8 = 7;
 /// [`RetryRecord`] flag bit: the activation was shed by brownout mode.
 const RETRY_FLAG_SHED: u8 = 1;
 
-/// Engine knobs of the windowed replay — none of them observable in the
-/// [`FleetReport`], which stays bit-identical to the sequential
-/// reference for every setting. The plain `run_windowed` /
-/// `run_stream_windowed` entry points use [`ReplayConfig::default`];
-/// the `_with` variants take an explicit config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayConfig {
-    /// Speculative-round cap: after this many rounds the reconciliation
-    /// loop bails out to chaining the remaining stale windows
-    /// sequentially with exact carry-ins, bounding total work at
-    /// `O(rounds + windows)` window simulations even when the market is
-    /// so contended that speculation never converges. `0` forces the
-    /// sequential fallback after the first speculative round.
-    pub max_speculative_rounds: usize,
-    /// Stall margin of the adaptive bail-out: a round that shrinks the
-    /// stale set by fewer than this many windows is judged to be
-    /// churning, and the loop bails out early rather than burn another
-    /// round. `0` disables the stall check (only the round cap bails
-    /// out).
-    pub stall_margin: usize,
-    /// Which completion-queue implementation windows drive events with;
-    /// both orders are bit-identical (see [`CompletionQueueKind`]).
-    pub completion_queue: CompletionQueueKind,
-}
-
-impl Default for ReplayConfig {
-    fn default() -> Self {
-        Self {
-            max_speculative_rounds: 8,
-            stall_margin: 2,
-            completion_queue: CompletionQueueKind::TimerWheel,
-        }
-    }
-}
-
 /// An accepted alternate placement resolved to plain numbers, so the hot
 /// loop does no table lookups or config math.
 #[derive(Debug, Clone, Copy)]
@@ -316,8 +274,7 @@ struct ResolvedAlternate {
     inflation: f64,
 }
 
-/// Everything a window simulation reads: immutable and shared across
-/// worker threads.
+/// Everything a window simulation reads: immutable for the whole replay.
 struct ReplayCtx {
     /// Per-function list-price cost of the best configuration.
     best_costs: Vec<f64>,
@@ -336,9 +293,9 @@ struct ReplayCtx {
     /// The control loop: immutable controller configuration (state lives
     /// in the carry), tick cadence in integer nanoseconds, and the trace
     /// horizon ticks are capped at — like supply steps, no tick fires
-    /// after the last arrival, so the reference engine (which never
-    /// advances past it) and the windowed engine (whose last window
-    /// does) agree on the tick sequence.
+    /// after the last arrival, so an unbounded replay (which never
+    /// advances past it) and an epoch-chained resumable one (whose last
+    /// epoch does) agree on the tick sequence.
     controller: Box<dyn Controller>,
     controller_label: &'static str,
     cadence_nanos: u64,
@@ -348,9 +305,6 @@ struct ReplayCtx {
     /// `obs_offsets[f]..obs_offsets[f + 1]`, one slot per accepted
     /// alternate plus a trailing on-demand slot.
     obs_offsets: Vec<u32>,
-    /// Completion-queue implementation windows simulate with
-    /// ([`ReplayConfig::completion_queue`]; both orders bit-identical).
-    queue: CompletionQueueKind,
     /// The fault plan, kept past schedule generation for the
     /// per-invocation transient draws ([`FaultPlan::fault_for`]).
     faults: FaultPlan,
@@ -415,9 +369,9 @@ pub(crate) struct HedgeRecord {
 /// an invocation admitted in an earlier window) and the control-plane
 /// samples of the ticks the window processed. Per-invocation records —
 /// rather than window-local accumulators — are what make the final
-/// reduction's float-accumulation order independent of the window
-/// partition, and therefore bit-identical between the reference and
-/// windowed engines.
+/// reduction's float-accumulation order independent of the epoch
+/// partition, and therefore bit-identical between an uninterrupted
+/// replay and one chained (or killed and resumed) epoch by epoch.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WindowMetering {
     costs: Vec<f64>,
@@ -562,9 +516,10 @@ impl WindowMetering {
 }
 
 /// Everything that crosses a window boundary: the canonical
-/// (heap-drain-ordered) in-flight ledger state, the controller state,
-/// and the partial observation epoch. The reconciliation chain compares
-/// all three bit-exactly — see `crates/core/README.md`.
+/// (completion-ordered) in-flight ledger state, pending retries, retry
+/// budgets, the controller state, and the partial observation epoch.
+/// Resumable replays chain it exactly from one epoch to the next and
+/// persist it in every snapshot — see `crates/core/README.md`.
 #[derive(Debug, Clone)]
 pub(crate) struct Carry {
     inflight: Vec<InFlight>,
@@ -630,8 +585,7 @@ impl Carry {
         self.accum.save(w);
     }
 
-    /// Restores a carry serialized with [`Carry::save`], bit-identical
-    /// under [`carry_state_eq`].
+    /// Restores a carry serialized with [`Carry::save`], field for field.
     pub(crate) fn load(r: &mut Unwire) -> Result<Self> {
         let n = r.len()?;
         let mut inflight = Vec::with_capacity(n);
@@ -683,18 +637,6 @@ impl Carry {
     }
 }
 
-/// Whether two carried states are identical — the speculation check of
-/// the windowed replay. Every component exact: in-flight entries down to
-/// cost bits, pending retries and budget buckets by value, controller
-/// floats by bit pattern, epoch counters by value.
-fn carry_state_eq(a: &Carry, b: &Carry) -> bool {
-    carry_eq(&a.inflight, &b.inflight)
-        && a.retries == b.retries
-        && a.budget == b.budget
-        && control_state_eq(&a.control, &b.control)
-        && a.accum == b.accum
-}
-
 /// A window's result: metering plus the carried state crossing into the
 /// next window.
 struct WindowOutcome {
@@ -705,7 +647,7 @@ struct WindowOutcome {
 }
 
 /// Peak-memory telemetry of one streaming replay
-/// ([`FleetSimulator::run_stream_with_stats`]): evidence that resident
+/// ([`FleetSimulator::run_stream_traced`]): evidence that resident
 /// state is bounded by in-flight placements plus cursor lookahead, never
 /// by total arrivals.
 #[derive(Debug, Clone, Copy)]
@@ -718,19 +660,6 @@ pub struct ReplayStats {
     /// function (synthetic) or the open rows of the CSV lookahead
     /// window.
     pub peak_cursor_resident: usize,
-    /// Anchor checkpoints the windowed pre-pass held — the ladder's
-    /// O(√W) term, each O(functions) in size. 0 for non-windowed
-    /// replays (no pre-pass).
-    pub ladder_anchors: usize,
-    /// Events re-drained when windows derived their boundary positions
-    /// from the nearest ladder anchor (each bounded by one anchor
-    /// stride's worth of events). 0 for non-windowed replays.
-    pub ladder_redrain_events: usize,
-    /// Windows the reconciliation loop re-ran via the sequential
-    /// exact-carry fallback after bailing out of speculation
-    /// ([`ReplayConfig::max_speculative_rounds`] /
-    /// [`ReplayConfig::stall_margin`]). 0 for non-windowed replays.
-    pub fallback_windows: usize,
 }
 
 impl ReplayStats {
@@ -767,31 +696,16 @@ impl FleetSimulator {
         Ok(Self { plans })
     }
 
-    /// Replays the trace under a strategy with the **sequential reference
-    /// engine**: one simulation window spanning the whole trace, no
-    /// speculation, no carry-over. The engine pulls events through the
-    /// same iterator interface as the streaming replay; here the
-    /// iterator happens to walk a materialized slice.
+    /// Replays a materialized trace under a strategy: one simulation
+    /// window spanning the whole trace, no carry-over. This is the
+    /// reference the streaming entry points are compared against; the
+    /// engine pulls events through the same iterator interface, which
+    /// here happens to walk a slice.
     pub fn run(
         &self,
         trace: &Trace,
         strategy: PlacementStrategy,
         config: &FleetConfig,
-    ) -> Result<FleetReport> {
-        self.run_traced(trace, strategy, config, &mut NoopRecorder)
-    }
-
-    /// [`FleetSimulator::run`] with a telemetry [`Recorder`] attached.
-    /// Telemetry is strictly observational: the report is bit-identical
-    /// to the untraced run for every recorder (the determinism lattice
-    /// pins this), and with [`NoopRecorder`] the instrumentation
-    /// monomorphizes away entirely.
-    pub fn run_traced<R: Recorder>(
-        &self,
-        trace: &Trace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        rec: &mut R,
     ) -> Result<FleetReport> {
         let horizon = trace
             .events()
@@ -808,50 +722,28 @@ impl FleetSimulator {
             &Carry::initial(&ctx),
             0,
             u64::MAX,
-            rec,
+            &mut NoopRecorder,
         );
-        rec.add(tel::Counter::WindowsSimulated, 1);
         Ok(reduce(
             strategy,
             config.slo_theta,
             events.len(),
-            vec![outcome.metering],
+            outcome.metering,
             ctx.controller_label,
         ))
     }
 
-    /// Replays a [`StreamTrace`] with the sequential reference engine,
-    /// producing events lazily and consuming each exactly once: peak
-    /// memory is O(functions + in-flight placements) instead of O(total
-    /// arrivals). Bit-identical to [`FleetSimulator::run`] on the
-    /// materialized equivalent ([`StreamTrace::materialize`]).
-    pub fn run_stream(
-        &self,
-        trace: &StreamTrace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-    ) -> Result<FleetReport> {
-        Ok(self.run_stream_with_stats(trace, strategy, config)?.0)
-    }
-
-    /// [`FleetSimulator::run_stream`] plus the replay's peak-memory
-    /// telemetry. The stats are measurement, not output: they stay out
-    /// of the [`FleetReport`] because peak heap depth depends on the
-    /// engine (windowed replays speculate), while the report is
-    /// bit-identical across engines.
-    pub fn run_stream_with_stats(
-        &self,
-        trace: &StreamTrace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-    ) -> Result<(FleetReport, ReplayStats)> {
-        self.run_stream_traced(trace, strategy, config, &mut NoopRecorder)
-    }
-
-    /// [`FleetSimulator::run_stream_with_stats`] with a telemetry
-    /// [`Recorder`] attached. Strictly observational — the report is
-    /// bit-identical to the untraced streaming replay for every
-    /// recorder.
+    /// Replays a [`StreamTrace`], producing events lazily and consuming
+    /// each exactly once: peak memory is O(functions + in-flight
+    /// placements) instead of O(total arrivals). Bit-identical to
+    /// [`FleetSimulator::run`] on the materialized equivalent
+    /// ([`StreamTrace::materialize`]).
+    ///
+    /// `rec` observes the replay. Telemetry is strictly observational:
+    /// the report is bit-identical for every recorder, and with
+    /// [`NoopRecorder`] the instrumentation monomorphizes away. The
+    /// [`ReplayStats`] are measurement, not output, so they stay out of
+    /// the [`FleetReport`].
     pub fn run_stream_traced<R: Recorder>(
         &self,
         trace: &StreamTrace,
@@ -876,426 +768,12 @@ impl FleetSimulator {
             events: trace.len(),
             peak_inflight: outcome.peak_inflight,
             peak_cursor_resident: stream.peak_resident(),
-            ladder_anchors: 0,
-            ladder_redrain_events: 0,
-            fallback_windows: 0,
         };
         let report = reduce(
             strategy,
             config.slo_theta,
             trace.len(),
-            vec![outcome.metering],
-            ctx.controller_label,
-        );
-        Ok((report, stats))
-    }
-
-    /// Replays the trace as time windows of `window_secs`, simulated
-    /// speculatively in parallel over `threads` workers and reconciled at
-    /// the boundaries until the carried ledger state reaches a fixed
-    /// point. Bit-identical to [`FleetSimulator::run`] for every thread
-    /// count and window size; the windowed machinery runs even at
-    /// `threads = 1`, so the determinism guard exercises reconciliation
-    /// itself, not a sequential dispatch.
-    ///
-    /// Speculation starts every window from an empty market; each round
-    /// re-runs exactly the windows whose carry-in guess changed, and each
-    /// round extends the verified prefix by at least one window, so the
-    /// loop terminates. After [`ReplayConfig::max_speculative_rounds`]
-    /// rounds — or earlier, when a round stalls — the remaining stale
-    /// suffix is chained sequentially instead.
-    pub fn run_windowed(
-        &self,
-        trace: &Trace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        threads: usize,
-        window_secs: f64,
-    ) -> Result<FleetReport> {
-        self.run_windowed_with(
-            trace,
-            strategy,
-            config,
-            &ReplayConfig::default(),
-            threads,
-            window_secs,
-        )
-    }
-
-    /// [`FleetSimulator::run_windowed`] with explicit [`ReplayConfig`]
-    /// engine knobs. The report is bit-identical for every setting.
-    pub fn run_windowed_with(
-        &self,
-        trace: &Trace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        replay: &ReplayConfig,
-        threads: usize,
-        window_secs: f64,
-    ) -> Result<FleetReport> {
-        self.run_windowed_traced(
-            trace,
-            strategy,
-            config,
-            replay,
-            threads,
-            window_secs,
-            &mut NoopRecorder,
-        )
-    }
-
-    /// [`FleetSimulator::run_windowed_with`] with a telemetry
-    /// [`Recorder`] attached. Each parallel window records into a fork
-    /// of `rec`; the fork of a window's final accepted run is absorbed
-    /// back in window order, so every sim-derived observation is
-    /// deterministic for any thread count. Strictly observational.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_windowed_traced<R: Recorder + Sync>(
-        &self,
-        trace: &Trace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        replay: &ReplayConfig,
-        threads: usize,
-        window_secs: f64,
-        rec: &mut R,
-    ) -> Result<FleetReport> {
-        let horizon = trace
-            .events()
-            .last()
-            .map(|e| event_nanos(e.at_secs))
-            .unwrap_or(0);
-        let window_nanos = validate_window(horizon, window_secs)?;
-        let mut ctx = self.prepare(trace.n_functions(), horizon, strategy, config)?;
-        ctx.queue = replay.completion_queue;
-        let events = trace.events();
-        if events.is_empty() {
-            return Ok(reduce(
-                strategy,
-                config.slo_theta,
-                0,
-                Vec::new(),
-                ctx.controller_label,
-            ));
-        }
-        let bounds = trace.window_bounds(window_nanos);
-        let tmpl = rec.fork();
-        let run_one = |k: usize, carry: &Carry, wrec: &mut R| {
-            let (start, end) = window_span(k, window_nanos);
-            simulate_window(
-                &ctx,
-                events[bounds[k].clone()].iter().copied(),
-                bounds[k].len(),
-                bounds[k].start as u32,
-                carry,
-                start,
-                end,
-                wrec,
-            )
-        };
-        // Materialized windows position in O(1) (binary-searched
-        // slices), so a round is a plain fan-out and the fallback chain
-        // needs no walker state: clean windows are free to pass over.
-        let run_round = |pending: &[(usize, Carry, u64)]| {
-            freedom_parallel::par_run(pending.len(), threads, |i| {
-                let mut wrec = tmpl.fork();
-                let out = run_one(pending[i].0, &pending[i].1, &mut wrec);
-                let fp = carry_fingerprint(&out.carry_out);
-                (out, fp, wrec)
-            })
-        };
-        let (meterings, _) =
-            reconcile_windows(&ctx, bounds.len(), replay, rec, run_round, |k, carry| {
-                carry.map(|c| {
-                    let mut wrec = tmpl.fork();
-                    let out = run_one(k, c, &mut wrec);
-                    (out, wrec)
-                })
-            });
-        Ok(reduce(
-            strategy,
-            config.slo_theta,
-            events.len(),
-            meterings,
-            ctx.controller_label,
-        ))
-    }
-
-    /// Windowed replay of a [`StreamTrace`]: the same speculative
-    /// engine as [`FleetSimulator::run_windowed`], but windows re-seek
-    /// their events **by epoch** through the checkpoint ladder — a
-    /// sharded pre-pass takes O(√windows) anchor checkpoints
-    /// ([`StreamTrace::checkpoints_at`]), and each window re-derives
-    /// its boundary position from the nearest anchor by a bounded
-    /// forward drain, so pre-pass seek state is O(√W × functions)
-    /// instead of O(W × functions). Reconciliation re-runs a stale
-    /// window by rewinding to the same anchor. Bit-identical to
-    /// [`FleetSimulator::run_stream`] — and to the materialized engines
-    /// — for every thread count and window size.
-    pub fn run_stream_windowed(
-        &self,
-        trace: &StreamTrace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        threads: usize,
-        window_secs: f64,
-    ) -> Result<FleetReport> {
-        self.run_stream_windowed_with(
-            trace,
-            strategy,
-            config,
-            &ReplayConfig::default(),
-            threads,
-            window_secs,
-        )
-    }
-
-    /// [`FleetSimulator::run_stream_windowed`] with explicit
-    /// [`ReplayConfig`] engine knobs. The report is bit-identical for
-    /// every setting.
-    pub fn run_stream_windowed_with(
-        &self,
-        trace: &StreamTrace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        replay: &ReplayConfig,
-        threads: usize,
-        window_secs: f64,
-    ) -> Result<FleetReport> {
-        Ok(self
-            .run_stream_windowed_with_stats(trace, strategy, config, replay, threads, window_secs)?
-            .0)
-    }
-
-    /// [`FleetSimulator::run_stream_windowed_with`] plus the replay's
-    /// telemetry: peak in-flight and cursor residency, the ladder's
-    /// anchor count and re-drained events, and how many windows the
-    /// reconciliation loop re-ran via the sequential fallback.
-    pub fn run_stream_windowed_with_stats(
-        &self,
-        trace: &StreamTrace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        replay: &ReplayConfig,
-        threads: usize,
-        window_secs: f64,
-    ) -> Result<(FleetReport, ReplayStats)> {
-        self.run_stream_windowed_traced(
-            trace,
-            strategy,
-            config,
-            replay,
-            threads,
-            window_secs,
-            &mut NoopRecorder,
-        )
-    }
-
-    /// [`FleetSimulator::run_stream_windowed_with_stats`] with a
-    /// telemetry [`Recorder`] attached: per-window forks merged back in
-    /// window order (see [`FleetSimulator::run_windowed_traced`]), plus
-    /// wall spans for the ladder pre-pass, each speculative round, and
-    /// the fallback walk. Strictly observational.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_stream_windowed_traced<R: Recorder + Sync>(
-        &self,
-        trace: &StreamTrace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        replay: &ReplayConfig,
-        threads: usize,
-        window_secs: f64,
-        rec: &mut R,
-    ) -> Result<(FleetReport, ReplayStats)> {
-        let horizon = trace.horizon_nanos();
-        let window_nanos = validate_window(horizon, window_secs)?;
-        let mut ctx = self.prepare(trace.n_functions(), horizon, strategy, config)?;
-        ctx.queue = replay.completion_queue;
-        if trace.is_empty() {
-            let report = reduce(
-                strategy,
-                config.slo_theta,
-                0,
-                Vec::new(),
-                ctx.controller_label,
-            );
-            let stats = ReplayStats {
-                events: 0,
-                peak_inflight: 0,
-                peak_cursor_resident: 0,
-                ladder_anchors: 0,
-                ladder_redrain_events: 0,
-                fallback_windows: 0,
-            };
-            return Ok((report, stats));
-        }
-        // Checkpoint-ladder pre-pass: anchor checkpoints every `stride`
-        // window boundaries (stride ≈ √windows), derived sharded, then
-        // one parallel counting drain over the anchor segments records
-        // each window's event count. Seek state: O(√W) anchors ×
-        // O(functions) each.
-        let prepass_wall = rec.now_nanos();
-        let n = (horizon / window_nanos) as usize + 1;
-        let stride = isqrt_ceil(n);
-        let n_anchors = n.div_ceil(stride);
-        let anchor_bounds: Vec<u64> = (0..n_anchors)
-            .map(|a| (a * stride) as u64 * window_nanos)
-            .collect();
-        let anchors = trace.checkpoints_at(&anchor_bounds, threads)?;
-        let segments = freedom_parallel::par_run(n_anchors, threads, |a| {
-            let mut s = trace
-                .open_at(&anchors[a])
-                .expect("re-seeking a ladder anchor the pre-pass took");
-            let lo = a * stride;
-            let hi = ((a + 1) * stride).min(n);
-            let mut counts = Vec::with_capacity(hi - lo);
-            for k in lo..hi {
-                let end = (k as u64 + 1).saturating_mul(window_nanos);
-                let mut c = 0u32;
-                while s.peek().is_some_and(|e| event_nanos(e.at_secs) < end) {
-                    s.next();
-                    c += 1;
-                }
-                counts.push(c);
-            }
-            (counts, s.peak_resident())
-        });
-        let mut base = Vec::with_capacity(n + 1);
-        base.push(0u32);
-        let mut consumed = 0u32;
-        let mut peak_prepass = 0usize;
-        for (counts, peak) in &segments {
-            peak_prepass = peak_prepass.max(*peak);
-            for &c in counts {
-                consumed += c;
-                base.push(consumed);
-            }
-        }
-        debug_assert_eq!(consumed as usize, trace.len());
-        rec.span_wall(tel::Span::CountPrePass, prepass_wall, anchors.len() as u64);
-        rec.add(tel::Counter::LadderAnchors, anchors.len() as u64);
-        if R::ENABLED {
-            for a in 0..n_anchors {
-                let lo = (a * stride) as u64 * window_nanos;
-                let hi = (((a + 1) * stride).min(n) as u64)
-                    .saturating_mul(window_nanos)
-                    .min(horizon);
-                rec.span_sim(tel::Span::LadderSegment, lo, hi, a as u64);
-            }
-        }
-        let redrained = AtomicUsize::new(0);
-        let peak_stream = AtomicUsize::new(peak_prepass);
-        let tmpl = rec.fork();
-        // Simulates window `k` from an already-positioned stream (the
-        // cursor must sit on the window's first event).
-        let sim_at = |s: &mut crate::stream::EventStream, k: usize, carry: &Carry, wrec: &mut R| {
-            let (start, end) = window_span(k, window_nanos);
-            let n_events = (base[k + 1] - base[k]) as usize;
-            let events = std::iter::from_fn(|| s.next()).take(n_events);
-            simulate_window(&ctx, events, n_events, base[k], carry, start, end, wrec)
-        };
-        // A speculative round walks each ladder segment's stream at
-        // most once: pending windows (ascending) are grouped by their
-        // anchor segment, and a group re-seeks its anchor, then drains
-        // forward — skipping the events of windows the round does not
-        // touch — so the bounded re-drain is paid per *group*, not per
-        // window. Round 0 (every window pending) is therefore exactly
-        // one sharded pass over the trace with zero re-drained events.
-        let run_round = |pending: &[(usize, Carry, u64)]| {
-            let mut groups: Vec<std::ops::Range<usize>> = Vec::new();
-            for i in 0..pending.len() {
-                match groups.last_mut() {
-                    Some(g) if pending[g.start].0 / stride == pending[i].0 / stride => {
-                        g.end = i + 1;
-                    }
-                    _ => groups.push(i..i + 1),
-                }
-            }
-            let per_group = freedom_parallel::par_run(groups.len(), threads, |gi| {
-                let group = &pending[groups[gi].clone()];
-                let a = group[0].0 / stride;
-                let mut s = trace
-                    .open_at(&anchors[a])
-                    .expect("re-seeking a ladder anchor the pre-pass took");
-                let mut pos = base[a * stride];
-                let mut outs = Vec::with_capacity(group.len());
-                for (k, carry, _) in group {
-                    let skip = (base[*k] - pos) as usize;
-                    for _ in 0..skip {
-                        s.next();
-                    }
-                    redrained.fetch_add(skip, Ordering::Relaxed);
-                    let mut wrec = tmpl.fork();
-                    let out = sim_at(&mut s, *k, carry, &mut wrec);
-                    pos = base[*k + 1];
-                    let fp = carry_fingerprint(&out.carry_out);
-                    outs.push((out, fp, wrec));
-                }
-                peak_stream.fetch_max(s.peak_resident(), Ordering::Relaxed);
-                outs
-            });
-            per_group.into_iter().flatten().collect()
-        };
-        // The sequential fallback chain is one forward walk of the
-        // stream: clean windows drain their (counted) events without
-        // simulating, stale windows simulate in place, and the walker
-        // only re-seeks an anchor when it starts.
-        let mut walker = None;
-        let run_suffix = |k: usize, carry: Option<&Carry>| {
-            let stale = match &walker {
-                Some((_, pos)) => *pos > base[k],
-                None => true,
-            };
-            if stale {
-                let a = k / stride;
-                let s = trace
-                    .open_at(&anchors[a])
-                    .expect("re-seeking a ladder anchor the pre-pass took");
-                walker = Some((s, base[a * stride]));
-            }
-            let (s, pos) = walker.as_mut().expect("walker just seeded");
-            let skip = (base[k] - *pos) as usize;
-            for _ in 0..skip {
-                s.next();
-            }
-            let out = match carry {
-                Some(c) => {
-                    let mut wrec = tmpl.fork();
-                    let o = sim_at(s, k, c, &mut wrec);
-                    Some((o, wrec))
-                }
-                None => {
-                    let n_events = (base[k + 1] - base[k]) as usize;
-                    for _ in 0..n_events {
-                        s.next();
-                    }
-                    redrained.fetch_add(n_events, Ordering::Relaxed);
-                    None
-                }
-            };
-            redrained.fetch_add(skip, Ordering::Relaxed);
-            *pos = base[k + 1];
-            peak_stream.fetch_max(s.peak_resident(), Ordering::Relaxed);
-            out
-        };
-        let (meterings, telemetry) = reconcile_windows(&ctx, n, replay, rec, run_round, run_suffix);
-        let stats = ReplayStats {
-            events: trace.len(),
-            peak_inflight: telemetry.peak_inflight,
-            peak_cursor_resident: peak_stream.into_inner(),
-            ladder_anchors: anchors.len(),
-            ladder_redrain_events: redrained.into_inner(),
-            fallback_windows: telemetry.fallback_windows,
-        };
-        rec.add(
-            tel::Counter::RedrainedEvents,
-            stats.ladder_redrain_events as u64,
-        );
-        let report = reduce(
-            strategy,
-            config.slo_theta,
-            trace.len(),
-            meterings,
+            outcome.metering,
             ctx.controller_label,
         );
         Ok((report, stats))
@@ -1305,10 +783,14 @@ impl FleetSimulator {
     /// `snapshot_secs` sequentially and, at every window (epoch)
     /// boundary, hands `on_snapshot` a versioned [`ReplaySnapshot`] —
     /// the stream checkpoint, the carried state, and the folded metering
-    /// prefix. Feeding a persisted snapshot back as `resume` replays
-    /// only the remaining windows; the resulting report is
-    /// **bit-identical** to [`FleetSimulator::run_stream`] (and the
-    /// whole determinism lattice) no matter where the run was killed.
+    /// prefix — together with the recorder, which is the natural hook
+    /// for emitting per-epoch JSONL metric snapshots
+    /// ([`freedom_telemetry::Telemetry::jsonl_snapshot`]). Feeding a
+    /// persisted snapshot back as `resume` replays only the remaining
+    /// windows; the resulting report is **bit-identical** to
+    /// [`FleetSimulator::run_stream_traced`] (and the whole determinism
+    /// lattice) no matter where the run was killed, and for every
+    /// recorder.
     ///
     /// `on_snapshot` returns `Ok(true)` to continue or `Ok(false)` to
     /// stop (the simulated crash of the kill/resume tests); a stopped
@@ -1317,32 +799,6 @@ impl FleetSimulator {
     /// strategy, config, fleet and trace shape, snapshot cadence — does
     /// not match this replay, so a stale file cannot silently resume a
     /// different simulation.
-    pub fn run_stream_resumable(
-        &self,
-        trace: &StreamTrace,
-        strategy: PlacementStrategy,
-        config: &FleetConfig,
-        snapshot_secs: f64,
-        resume: Option<&ReplaySnapshot>,
-        mut on_snapshot: impl FnMut(&ReplaySnapshot) -> Result<bool>,
-    ) -> Result<Option<FleetReport>> {
-        self.run_stream_resumable_traced(
-            trace,
-            strategy,
-            config,
-            snapshot_secs,
-            resume,
-            &mut NoopRecorder,
-            |snap, _rec| on_snapshot(snap),
-        )
-    }
-
-    /// [`FleetSimulator::run_stream_resumable`] with a telemetry
-    /// [`Recorder`] attached. `on_snapshot` additionally receives the
-    /// recorder at every epoch boundary, which is the natural hook for
-    /// emitting per-epoch JSONL metric snapshots
-    /// ([`freedom_telemetry::Telemetry::jsonl_snapshot`]). Strictly
-    /// observational.
     #[allow(clippy::too_many_arguments)]
     pub fn run_stream_resumable_traced<R: Recorder>(
         &self,
@@ -1362,7 +818,7 @@ impl FleetSimulator {
                 strategy,
                 config.slo_theta,
                 0,
-                Vec::new(),
+                WindowMetering::default(),
                 ctx.controller_label,
             )));
         }
@@ -1450,7 +906,7 @@ impl FleetSimulator {
             strategy,
             config.slo_theta,
             trace.len(),
-            vec![prefix],
+            prefix,
             ctx.controller_label,
         )))
     }
@@ -1556,7 +1012,6 @@ impl FleetSimulator {
             cadence_nanos,
             horizon_nanos: horizon,
             obs_offsets,
-            queue: CompletionQueueKind::default(),
             faults: config.faults,
             retry: config.retry,
             transient_active: config.faults.has_transient(),
@@ -1566,34 +1021,21 @@ impl FleetSimulator {
     }
 }
 
-/// Ceiling integer square root — the ladder stride: `isqrt_ceil(n)`
-/// anchors spaced `isqrt_ceil(n)` windows apart cover `n` windows with
-/// O(√n) checkpoints and O(√n)-bounded re-drains.
-fn isqrt_ceil(n: usize) -> usize {
-    let mut r = (n as f64).sqrt() as usize;
-    while r.saturating_mul(r) < n {
-        r += 1;
-    }
-    while r > 1 && (r - 1) * (r - 1) >= n {
-        r -= 1;
-    }
-    r.max(1)
-}
-
 /// One window's live simulation state: the market ledger and completion
 /// queue, the supply and tick cursors, the controller state it carries
 /// forward, and the epoch accumulator feeding the next tick.
 struct WindowSim<'a, R: Recorder> {
     ctx: &'a ReplayCtx,
-    /// The window's telemetry sink: the parent recorder in sequential
-    /// engines, a per-window fork in windowed ones. Strictly
-    /// observational — nothing in the simulation reads it back.
+    /// The replay's telemetry sink. Strictly observational — nothing in
+    /// the simulation reads it back.
     rec: &'a mut R,
     /// Simulated instant of the previous arrival ([`u64::MAX`] before
     /// the first), feeding the arrival-gap histogram.
     prev_arrival: u64,
     ledger: SpotLedger,
-    queue: CompletionQueue,
+    /// In-flight completions, earliest `(completion, slot, idx, meta)`
+    /// first.
+    queue: BinaryHeap<Reverse<InFlight>>,
     /// Most entries the completion queue ever held — the in-flight term
     /// of the replay's peak-memory bound ([`ReplayStats`]).
     peak_inflight: usize,
@@ -1655,8 +1097,7 @@ impl<R: Recorder> WindowSim<'_, R> {
             // `(now, to_nanos]`, so the only work is draining due
             // completions — and the completion-scan cap at the next
             // step is vacuous because `to_nanos` is already below it.
-            while self.queue.next_due(to_nanos).is_some() {
-                let e = self.queue.pop_due();
+            while let Some(e) = self.pop_due(to_nanos) {
                 self.complete(e);
             }
             return;
@@ -1677,15 +1118,7 @@ impl<R: Recorder> WindowSim<'_, R> {
                 .get(self.supply_cursor)
                 .map_or(u64::MAX, |s| s.at_nanos);
             let retry_at = self.retries.peek().map_or(u64::MAX, |r| r.0.at_nanos);
-            // Cap the completion scan at the next unprocessed step or
-            // pending retry: both push entries back into the queue, and
-            // the wheel's cursor must not have advanced past the push
-            // instant. Correctness is unaffected — any completion
-            // beyond the break fires after it anyway.
-            let completion = self
-                .queue
-                .next_due(to_nanos.min(step_at).min(retry_at))
-                .unwrap_or(u64::MAX);
+            let completion = self.queue.peek().map_or(u64::MAX, |r| r.0.completion_nanos);
             let notice_at = self
                 .ctx
                 .schedule
@@ -1706,7 +1139,7 @@ impl<R: Recorder> WindowSim<'_, R> {
                 break;
             }
             if completion == now {
-                let e = self.queue.pop_due();
+                let Reverse(e) = self.queue.pop().expect("completion head exists");
                 self.complete(e);
             } else if step_at == now {
                 self.supply_step();
@@ -1724,6 +1157,16 @@ impl<R: Recorder> WindowSim<'_, R> {
             }
         }
         self.next_break = self.compute_next_break();
+    }
+
+    /// Pops the earliest in-flight completion if it is due at or before
+    /// `limit`.
+    #[inline]
+    fn pop_due(&mut self, limit: u64) -> Option<InFlight> {
+        if self.queue.peek()?.0.completion_nanos > limit {
+            return None;
+        }
+        self.queue.pop().map(|Reverse(e)| e)
     }
 
     /// Recomputes the cached next-break instant from the four break
@@ -1797,7 +1240,7 @@ impl<R: Recorder> WindowSim<'_, R> {
                         ..e
                     };
                     self.ledger.place(&moved);
-                    self.queue.push(moved);
+                    self.queue.push(Reverse(moved));
                     self.peak_inflight = self.peak_inflight.max(self.queue.len());
                     self.accum.migrated += 1;
                     self.rec.add(tel::Counter::Migrated, 1);
@@ -2076,7 +1519,7 @@ impl<R: Recorder> WindowSim<'_, R> {
             list_cost_usd: alt.list_cost_usd,
         };
         self.ledger.place(&entry);
-        self.queue.push(entry);
+        self.queue.push(Reverse(entry));
         self.peak_inflight = self.peak_inflight.max(self.queue.len());
         if kind == RUN_ABORT {
             // The retry is scheduled now, to fire at the abort's
@@ -2360,7 +1803,7 @@ impl<R: Recorder> WindowSim<'_, R> {
             list_cost_usd: alt.list_cost_usd,
         };
         self.ledger.place(&entry);
-        self.queue.push(entry);
+        self.queue.push(Reverse(entry));
         self.peak_inflight = self.peak_inflight.max(self.queue.len());
         let won = completion < p.orig_completion_nanos;
         if R::ENABLED && won {
@@ -2393,8 +1836,8 @@ impl<R: Recorder> WindowSim<'_, R> {
     }
 }
 
-/// Shared windowed-replay argument validation; returns the window size
-/// in integer nanoseconds.
+/// Validates a resumable replay's epoch length; returns it in integer
+/// nanoseconds.
 fn validate_window(horizon_nanos: u64, window_secs: f64) -> Result<u64> {
     if !window_secs.is_finite() || window_secs <= 0.0 {
         return Err(FreedomError::InvalidArgument(format!(
@@ -2417,32 +1860,6 @@ fn window_span(k: usize, window_nanos: u64) -> (u64, u64) {
         k as u64 * window_nanos,
         (k as u64 + 1).saturating_mul(window_nanos),
     )
-}
-
-/// Structural fingerprint of a carried state: hashes exactly the fields
-/// [`carry_state_eq`] compares. Equal states always produce equal
-/// fingerprints, so a fingerprint mismatch proves the states differ in
-/// O(1); on a match the reconciliation walk accepts the window as clean
-/// without the O(|carry|) field walk. Computed once per window run,
-/// inside the parallel section.
-fn carry_fingerprint(c: &Carry) -> u64 {
-    let mut h = Fnv64::new();
-    hash_inflight(&mut h, &c.inflight);
-    h.write(c.retries.len() as u64);
-    for p in &c.retries {
-        h.write(p.at_nanos);
-        h.write(u64::from(p.idx) | (u64::from(p.function) << 32));
-        h.write(u64::from(p.attempt) | (u64::from(p.kind) << 8) | (u64::from(p.family) << 16));
-        h.write(p.arrival_nanos);
-        h.write(p.orig_completion_nanos);
-    }
-    for (&t, &r) in c.budget.tokens.iter().zip(&c.budget.last_refill) {
-        h.write(t);
-        h.write(r);
-    }
-    hash_control_state(&mut h, &c.control);
-    hash_obs_accum(&mut h, &c.accum);
-    h.finish()
 }
 
 /// Fingerprint of a resumable replay's identity: strategy and config
@@ -2472,194 +1889,13 @@ fn replay_fingerprint(
     h.finish()
 }
 
-/// What [`reconcile_windows`] measured while converging, surfaced
-/// through [`ReplayStats`].
-struct ReconcileTelemetry {
-    peak_inflight: usize,
-    fallback_windows: usize,
-}
-
-/// The speculate/verify/re-run loop shared by both windowed engines.
-/// The engine supplies how windows actually simulate:
-///
-/// - `run_round(pending)` simulates one speculative round — the stale
-///   `(window, carry guess, carry fingerprint)` set in ascending window
-///   order — and returns each window's outcome plus its carry-out
-///   fingerprint. The engine owns the fan-out, so it can schedule the
-///   round to fit its event source: the materialized engine fans the
-///   windows straight through [`freedom_parallel::par_run`] (whose
-///   shared atomic index counter is the work queue — an idle worker
-///   claims the next stale window the moment it finishes one,
-///   work-stealing style), while the streaming engine first groups the
-///   set by checkpoint-ladder segment so each group walks its cursor
-///   stream once.
-/// - `run_suffix(k, carry)` drives the sequential exact-carry fallback:
-///   it is called for every window from the first unverified one in
-///   ascending order, with `Some(carry)` to simulate a stale window or
-///   `None` to pass over a clean one — the streaming engine uses the
-///   `None` calls to drain the passed-over events and keep its walker
-///   positioned, so the whole fallback chain is one forward pass.
-///
-/// The reconciliation chain re-runs exactly the windows whose
-/// speculative carry-in proved wrong, falling back to the sequential
-/// chain when speculation stops paying. Verification is O(1) per clean
-/// window: carry fingerprints ([`carry_fingerprint`]) are compared
-/// first, and the bit-exact [`carry_state_eq`] walk runs only on
-/// fingerprint mismatch, while an already-verified prefix is never
-/// re-walked.
-fn reconcile_windows<B, S, R>(
-    ctx: &ReplayCtx,
-    n: usize,
-    replay: &ReplayConfig,
-    rec: &mut R,
-    run_round: B,
-    mut run_suffix: S,
-) -> (Vec<WindowMetering>, ReconcileTelemetry)
-where
-    R: Recorder,
-    B: Fn(&[(usize, Carry, u64)]) -> Vec<(WindowOutcome, u64, R)>,
-    S: FnMut(usize, Option<&Carry>) -> Option<(WindowOutcome, R)>,
-{
-    let init = Carry::initial(ctx);
-    let init_fp = carry_fingerprint(&init);
-    let mut outs: Vec<Option<WindowOutcome>> = (0..n).map(|_| None).collect();
-    // Each window's recorder fork from its latest (= final accepted)
-    // run; absorbed into `rec` in window order at the end, which is
-    // what makes merged sim-side telemetry thread-count independent.
-    let mut recs: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    // Fingerprints of each window's carry-out (`out_fp`) and of the
-    // carry it actually ran with (`used_fp`); `used` keeps the full
-    // carry for the bit-exact fallback compare.
-    let mut out_fp = vec![0u64; n];
-    let mut used: Vec<Carry> = (0..n).map(|_| init.clone()).collect();
-    let mut used_fp = vec![init_fp; n];
-    // Round 0 speculates every window from an empty market and the
-    // controller's initial state.
-    let mut pending: Vec<(usize, Carry, u64)> =
-        (0..n).map(|k| (k, init.clone(), init_fp)).collect();
-    let mut telemetry = ReconcileTelemetry {
-        peak_inflight: 0,
-        fallback_windows: 0,
-    };
-    let mut rounds = 0usize;
-    let mut prev_stale = usize::MAX;
-    let mut verified = 0usize;
-    loop {
-        let round_wall = rec.now_nanos();
-        let results = run_round(&pending);
-        rec.add(tel::Counter::SpeculativeRounds, 1);
-        rec.add(tel::Counter::WindowsSimulated, results.len() as u64);
-        rec.span_wall(tel::Span::Round, round_wall, rounds as u64);
-        for ((k, carry, carry_fp), (out, fp, wrec)) in pending.drain(..).zip(results) {
-            telemetry.peak_inflight = telemetry.peak_inflight.max(out.peak_inflight);
-            used[k] = carry;
-            used_fp[k] = carry_fp;
-            outs[k] = Some(out);
-            out_fp[k] = fp;
-            recs[k] = Some(wrec);
-        }
-        // Verification walk from the verified prefix: chain the carried
-        // states in window order; any window that ran with a different
-        // carry-in than the chain now implies is stale and re-runs next
-        // round with the chain's current guess.
-        let mut next: Vec<(usize, Carry, u64)> = Vec::new();
-        // `verified` grows for the *next* round's walk; this round's
-        // range is fixed at the prefix it started from.
-        let prefix = verified;
-        for k in prefix..n {
-            let (chain_ref, chain_fp) = if k == 0 {
-                (&init, init_fp)
-            } else {
-                let prev = outs[k - 1].as_ref().expect("window simulated");
-                (&prev.carry_out, out_fp[k - 1])
-            };
-            let clean = used_fp[k] == chain_fp || carry_state_eq(&used[k], chain_ref);
-            if clean {
-                if next.is_empty() {
-                    verified = k + 1;
-                }
-            } else {
-                next.push((k, chain_ref.clone(), chain_fp));
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        rounds += 1;
-        // Speculation pays only while rounds resolve windows in bulk
-        // (markets that drain — idle gaps, tight supply — reach the
-        // same carried state from many guesses). When a round barely
-        // shrinks the stale set, every remaining guess is churning
-        // and re-running it is waste: chain the stale suffix
-        // sequentially with exact carry-ins instead. The round cap
-        // backstops pathological oscillation.
-        let stalled = replay.stall_margin > 0 && next.len() + replay.stall_margin >= prev_stale;
-        prev_stale = next.len();
-        if stalled || rounds > replay.max_speculative_rounds {
-            let fallback_wall = rec.now_nanos();
-            let first = next[0].0;
-            let mut chain = next[0].1.clone();
-            let mut chain_fp = next[0].2;
-            for k in first..n {
-                let clean = used_fp[k] == chain_fp || carry_state_eq(&used[k], &chain);
-                if clean {
-                    run_suffix(k, None);
-                } else {
-                    let (out, wrec) = run_suffix(k, Some(&chain))
-                        .expect("the suffix walker simulates stale windows");
-                    telemetry.peak_inflight = telemetry.peak_inflight.max(out.peak_inflight);
-                    telemetry.fallback_windows += 1;
-                    rec.add(tel::Counter::WindowsSimulated, 1);
-                    out_fp[k] = carry_fingerprint(&out.carry_out);
-                    outs[k] = Some(out);
-                    recs[k] = Some(wrec);
-                    used[k].clone_from(&chain);
-                    used_fp[k] = chain_fp;
-                }
-                chain.clone_from(&outs[k].as_ref().expect("window simulated").carry_out);
-                chain_fp = out_fp[k];
-            }
-            rec.span_wall(
-                tel::Span::FallbackWalk,
-                fallback_wall,
-                telemetry.fallback_windows as u64,
-            );
-            break;
-        }
-        pending = next;
-    }
-    rec.add(
-        tel::Counter::FallbackWindows,
-        telemetry.fallback_windows as u64,
-    );
-    for wrec in recs.into_iter().flatten() {
-        rec.absorb(wrec);
-    }
-    let meterings = outs
-        .into_iter()
-        .map(|o| o.expect("every window simulated").metering)
-        .collect();
-    (meterings, telemetry)
-}
-
-thread_local! {
-    /// Per-thread window-close drain buffer. Every window drains its
-    /// completion queue once at close; the buffer keeps its high-water
-    /// capacity across windows (like the wheel pool in
-    /// [`crate::wheel`]), so a steady-state window close is
-    /// allocation-free apart from the owned carry vector
-    /// (`tests/alloc_steady_state.rs` pins this).
-    static DRAIN_POOL: std::cell::RefCell<Vec<InFlight>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// Simulates one time window `[start_nanos, end_nanos)` of the merged
 /// event stream against the shared market, starting from the carried
 /// state (in-flight ledger, controller, partial epoch). Events arrive
 /// through an iterator and are consumed exactly once — a materialized
 /// slice and a lazy cursor merge replay identically. `n_events` is the
-/// metering pre-size hint. The sequential reference engine is the
-/// degenerate call: all events, the initial carry, an unbounded window.
+/// metering pre-size hint. An uninterrupted replay is the degenerate
+/// call: all events, the initial carry, an unbounded window.
 #[allow(clippy::too_many_arguments)]
 fn simulate_window<R: Recorder>(
     ctx: &ReplayCtx,
@@ -2681,17 +1917,12 @@ fn simulate_window<R: Recorder>(
     if let Some(next_caps) = start.notified_next {
         ledger.mark_notified(next_caps);
     }
-    let mut queue = CompletionQueue::new(
-        ctx.queue,
-        carry_in.inflight.len() + 64,
-        start_nanos,
-        end_nanos,
-    );
+    let mut queue = BinaryHeap::with_capacity(carry_in.inflight.len() + 64);
     for entry in &carry_in.inflight {
         let mut e = *entry;
         e.epoch = ledger.epoch(e.slot);
         ledger.restore(&e);
-        queue.push(e);
+        queue.push(Reverse(e));
     }
     let mut sim = WindowSim {
         ctx,
@@ -2739,28 +1970,20 @@ fn simulate_window<R: Recorder>(
         sim.advance(end_nanos - 1);
     }
 
-    // Drain: live entries become the canonical carry-over (ascending
-    // key order — identical for both queue kinds). Ghost entries —
-    // their slot withdrawn since placement — drop silently: their fate
-    // was resolved and metered at the withdrawal step. The drain lands
-    // in a thread-pooled buffer that keeps its capacity across windows
-    // (the carry vector itself must be owned — it travels in the
-    // outcome — but the typically much larger ghost-laden drain does
-    // not).
-    let inflight = DRAIN_POOL.with(|pool| {
-        let mut remaining = pool.borrow_mut();
-        remaining.clear();
-        std::mem::take(&mut sim.queue).drain_into(&mut remaining);
-        let mut inflight = Vec::with_capacity(remaining.len());
-        for &e in remaining.iter() {
-            if sim.ledger.is_live(&e) {
-                let mut carried = e;
-                carried.epoch = 0;
-                inflight.push(carried);
-            }
-        }
-        inflight
-    });
+    // Drain: live entries become the canonical carry-over, in ascending
+    // `(completion, slot, idx, meta)` order. Ghost entries — their slot
+    // withdrawn since placement — drop silently: their fate was resolved
+    // and metered at the withdrawal step.
+    let ledger = &sim.ledger;
+    let mut inflight: Vec<InFlight> = sim
+        .queue
+        .into_vec()
+        .into_iter()
+        .map(|Reverse(e)| e)
+        .filter(|e| ledger.is_live(e))
+        .map(|e| InFlight { epoch: 0, ..e })
+        .collect();
+    inflight.sort_unstable();
     let sim_end = if end_nanos == u64::MAX {
         ctx.horizon_nanos
     } else {
@@ -2788,66 +2011,31 @@ fn simulate_window<R: Recorder>(
     }
 }
 
-/// Reduces per-window metering into the fleet report. Per-invocation
-/// records are concatenated in window (= global arrival) order, demotion
-/// adjustments are applied by global index, and every float accumulation
-/// then runs in arrival order — the same sequence regardless of how many
-/// windows (or threads) produced the records, which is what makes the
-/// windowed engine bit-identical to the reference.
+/// Reduces a replay's metering into the fleet report. Per-invocation
+/// records sit in global arrival order (a resumable replay absorbs its
+/// epochs' metering in order), outcome adjustments apply by global
+/// index, and every float accumulation then runs in arrival order — the
+/// same sequence however many epochs produced the records, which is what
+/// makes every entry point bit-identical. The metering is consumed: at
+/// week scale its arrays hold tens of millions of records, and copying
+/// them would dominate the reduction.
 fn reduce(
     strategy: PlacementStrategy,
     slo_theta: f64,
     invocations: usize,
-    meterings: Vec<WindowMetering>,
+    metering: WindowMetering,
     controller: &'static str,
 ) -> FleetReport {
-    // A single metering (the whole-trace replay, or a resumable run's
-    // absorbed prefix) hands its arrays over wholesale: at week scale
-    // they hold tens of millions of records, and copying them would
-    // dominate the reduction.
-    let mut meterings = meterings;
-    let adjustments: Vec<(u32, u8, u8, f64)>;
-    let (mut costs, mut inflations, mut classes, control, notified, mut retries, hedges) =
-        if meterings.len() == 1 {
-            let m = meterings.pop().expect("one metering");
-            adjustments = m.adjustments;
-            (
-                m.costs,
-                m.inflations,
-                m.classes,
-                m.samples,
-                m.notified as usize,
-                m.retries,
-                m.hedges,
-            )
-        } else {
-            let mut costs = Vec::with_capacity(invocations);
-            let mut inflations = Vec::with_capacity(invocations);
-            let mut classes = Vec::with_capacity(invocations);
-            let mut control = Vec::new();
-            let mut adj = Vec::new();
-            let mut retries = Vec::new();
-            let mut hedges = Vec::new();
-            let mut notified = 0usize;
-            for m in &meterings {
-                costs.extend_from_slice(&m.costs);
-                inflations.extend_from_slice(&m.inflations);
-                classes.extend_from_slice(&m.classes);
-                // Samples concatenate in window order = tick (time) order.
-                control.extend_from_slice(&m.samples);
-                adj.extend_from_slice(&m.adjustments);
-                // Retry and hedge records concatenate in window order =
-                // resolution (time) order, which the inflation-override
-                // pass below relies on (last record wins).
-                retries.extend_from_slice(&m.retries);
-                hedges.extend_from_slice(&m.hedges);
-                notified += m.notified as usize;
-            }
-            adjustments = adj;
-            (
-                costs, inflations, classes, control, notified, retries, hedges,
-            )
-        };
+    let WindowMetering {
+        mut costs,
+        mut inflations,
+        mut classes,
+        adjustments,
+        mut retries,
+        hedges,
+        samples: control,
+        notified,
+    } = metering;
     debug_assert_eq!(costs.len(), invocations);
     // Adjustments on attempt 1 target the per-invocation arrays;
     // attempts >= 2 target the matching retry record (a later window
@@ -2931,7 +2119,7 @@ fn reduce(
         drained: by_class[CLASS_DRAINED as usize],
         migrated: by_class[CLASS_MIGRATED as usize],
         spot_demoted: by_class[CLASS_DEMOTED as usize],
-        notified,
+        notified: notified as usize,
         rejected: by_class[CLASS_ON_DEMAND as usize]
             + by_class[CLASS_CAPACITY_MISS as usize]
             + by_class[CLASS_POLICY_REJECT as usize],
@@ -2999,6 +2187,39 @@ mod tests {
         // Shed activations are retry records, so the shed count can
         // never exceed the retry count.
         assert!(report.shed_retries <= report.retried);
+    }
+
+    /// [`FleetSimulator::run_stream_traced`] without telemetry.
+    fn stream(
+        sim: &FleetSimulator,
+        lazy: &StreamTrace,
+        strategy: PlacementStrategy,
+        config: &FleetConfig,
+    ) -> Result<FleetReport> {
+        Ok(sim
+            .run_stream_traced(lazy, strategy, config, &mut NoopRecorder)?
+            .0)
+    }
+
+    /// An uninterrupted resumable replay in epochs of `epoch_secs`: exact
+    /// carries chained across every epoch boundary.
+    fn chained(
+        sim: &FleetSimulator,
+        lazy: &StreamTrace,
+        strategy: PlacementStrategy,
+        config: &FleetConfig,
+        epoch_secs: f64,
+    ) -> Result<FleetReport> {
+        let out = sim.run_stream_resumable_traced(
+            lazy,
+            strategy,
+            config,
+            epoch_secs,
+            None,
+            &mut NoopRecorder,
+            |_, _| Ok(true),
+        )?;
+        Ok(out.expect("an uninterrupted run returns a report"))
     }
 
     #[test]
@@ -3194,11 +2415,16 @@ mod tests {
     fn fault_plans_perturb_the_market_reproducibly() {
         let plans = make_plans(5);
         let sim = FleetSimulator::new(plans).unwrap();
-        let trace = TraceSource::Poisson {
-            rps_per_function: 4.0,
-        }
-        .generate(FunctionKind::ALL.len(), 60.0, 5)
+        let lazy = StreamTrace::generate(
+            TraceSource::Poisson {
+                rps_per_function: 4.0,
+            },
+            FunctionKind::ALL.len(),
+            60.0,
+            5,
+        )
         .unwrap();
+        let trace = lazy.materialize().unwrap();
         let calm = zoned_config(3, 3.0);
         let faulted = FleetConfig {
             faults: FaultPlan {
@@ -3244,19 +2470,18 @@ mod tests {
             .run(&trace, PlacementStrategy::IdleAware, &reseeded)
             .unwrap();
         assert_ne!(format!("{hit:?}"), format!("{other:?}"));
-        // The determinism lattice holds with faults enabled: windowed
-        // replay of the faulted market stays bit-identical.
-        for (threads, window_secs) in [(1, 3.0), (8, 17.0)] {
-            let windowed = sim
-                .run_windowed(
-                    &trace,
-                    PlacementStrategy::IdleAware,
-                    &faulted,
-                    threads,
-                    window_secs,
-                )
-                .unwrap();
-            assert_eq!(format!("{hit:?}"), format!("{windowed:?}"));
+        // The determinism lattice holds with faults enabled: an
+        // epoch-chained replay of the faulted market stays bit-identical.
+        for epoch_secs in [3.0, 17.0] {
+            let epochs = chained(
+                &sim,
+                &lazy,
+                PlacementStrategy::IdleAware,
+                &faulted,
+                epoch_secs,
+            )
+            .unwrap();
+            assert_eq!(format!("{hit:?}"), format!("{epochs:?}"));
         }
     }
 
@@ -3266,10 +2491,10 @@ mod tests {
         // notice < tick — by aligning every recurring instant on the
         // same lattice: supply steps every 5 s, notices 5 s ahead (so
         // each notice clamps onto the previous step), controller ticks
-        // every 5 s, and window boundaries at 5 s and 2.5 s. Every step,
-        // notice, and tick lands exactly ON a window boundary, so each
-        // must be owned by exactly one window; any double-count or
-        // ordering drift breaks bit-identity with the sequential
+        // every 5 s, and epoch boundaries at 5 s and 2.5 s. Every step,
+        // notice, and tick lands exactly ON an epoch boundary, so each
+        // must be owned by exactly one epoch; any double-count or
+        // ordering drift breaks bit-identity with the uninterrupted
         // reference.
         let plans = make_plans(5);
         let sim = FleetSimulator::new(plans).unwrap();
@@ -3295,33 +2520,38 @@ mod tests {
             },
             ..FleetConfig::default()
         };
-        let trace = TraceSource::Poisson {
-            rps_per_function: 4.0,
-        }
-        .generate(FunctionKind::ALL.len(), 60.0, 5)
+        let lazy = StreamTrace::generate(
+            TraceSource::Poisson {
+                rps_per_function: 4.0,
+            },
+            FunctionKind::ALL.len(),
+            60.0,
+            5,
+        )
         .unwrap();
         let reference = sim
-            .run(&trace, PlacementStrategy::IdleAware, &config)
+            .run(
+                &lazy.materialize().unwrap(),
+                PlacementStrategy::IdleAware,
+                &config,
+            )
             .unwrap();
         accounting_is_total(&reference);
         assert!(reference.notified > 0, "{reference:?}");
-        for threads in [1, 4] {
-            for window_secs in [2.5, 5.0] {
-                let windowed = sim
-                    .run_windowed(
-                        &trace,
-                        PlacementStrategy::IdleAware,
-                        &config,
-                        threads,
-                        window_secs,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    format!("{reference:?}"),
-                    format!("{windowed:?}"),
-                    "threads={threads} window={window_secs}"
-                );
-            }
+        for epoch_secs in [2.5, 5.0] {
+            let epochs = chained(
+                &sim,
+                &lazy,
+                PlacementStrategy::IdleAware,
+                &config,
+                epoch_secs,
+            )
+            .unwrap();
+            assert_eq!(
+                format!("{reference:?}"),
+                format!("{epochs:?}"),
+                "epoch={epoch_secs}"
+            );
         }
     }
 
@@ -3359,26 +2589,31 @@ mod tests {
             11,
         )
         .unwrap();
-        let reference = sim
-            .run_stream(&lazy, PlacementStrategy::IdleAware, &config)
-            .unwrap();
+        let reference = stream(&sim, &lazy, PlacementStrategy::IdleAware, &config).unwrap();
+        let resumable =
+            |cadence: f64,
+             config: &FleetConfig,
+             resume: Option<&ReplaySnapshot>,
+             on_snapshot: &mut dyn FnMut(&ReplaySnapshot) -> bool| {
+                sim.run_stream_resumable_traced(
+                    &lazy,
+                    PlacementStrategy::IdleAware,
+                    config,
+                    cadence,
+                    resume,
+                    &mut NoopRecorder,
+                    |s, _| Ok(on_snapshot(s)),
+                )
+            };
         // A full pass with snapshots enabled is the plain sequential
         // chain: same report, and one snapshot per interior boundary.
         let mut snaps: Vec<ReplaySnapshot> = Vec::new();
-        let full = sim
-            .run_stream_resumable(
-                &lazy,
-                PlacementStrategy::IdleAware,
-                &config,
-                15.0,
-                None,
-                |s| {
-                    snaps.push(s.clone());
-                    Ok(true)
-                },
-            )
-            .unwrap()
-            .expect("an uninterrupted run returns a report");
+        let full = resumable(15.0, &config, None, &mut |s| {
+            snaps.push(s.clone());
+            true
+        })
+        .unwrap()
+        .expect("an uninterrupted run returns a report");
         assert_eq!(format!("{reference:?}"), format!("{full:?}"));
         assert!(
             snaps.len() >= 4,
@@ -3391,29 +2626,12 @@ mod tests {
         for snap in &snaps {
             let kill_at = snap.epoch();
             let resumed_from = ReplaySnapshot::from_bytes(&snap.to_bytes()).unwrap();
-            let crashed = sim
-                .run_stream_resumable(
-                    &lazy,
-                    PlacementStrategy::IdleAware,
-                    &config,
-                    15.0,
-                    None,
-                    |s| Ok(s.epoch() < kill_at),
-                )
-                .unwrap();
+            let crashed = resumable(15.0, &config, None, &mut |s| s.epoch() < kill_at).unwrap();
             assert!(
                 crashed.is_none(),
                 "epoch {kill_at}: the kill must abort the run"
             );
-            let resumed = sim
-                .run_stream_resumable(
-                    &lazy,
-                    PlacementStrategy::IdleAware,
-                    &config,
-                    15.0,
-                    Some(&resumed_from),
-                    |_| Ok(true),
-                )
+            let resumed = resumable(15.0, &config, Some(&resumed_from), &mut |_| true)
                 .unwrap()
                 .expect("a resumed run finishes");
             assert_eq!(
@@ -3428,30 +2646,16 @@ mod tests {
             slo_theta: config.slo_theta + 0.01,
             ..config
         };
-        let err = sim.run_stream_resumable(
-            &lazy,
-            PlacementStrategy::IdleAware,
-            &other,
-            15.0,
-            Some(&snaps[0]),
-            |_| Ok(true),
-        );
+        let err = resumable(15.0, &other, Some(&snaps[0]), &mut |_| true);
         assert!(
             err.is_err(),
             "a reconfigured replay must reject the snapshot"
         );
         // And so is a snapshot taken at a different cadence.
-        let err = sim.run_stream_resumable(
-            &lazy,
-            PlacementStrategy::IdleAware,
-            &config,
-            30.0,
-            Some(&snaps[0]),
-            |_| Ok(true),
-        );
+        let err = resumable(30.0, &config, Some(&snaps[0]), &mut |_| true);
         assert!(
             err.is_err(),
-            "a re-windowed replay must reject the snapshot"
+            "a re-cadenced replay must reject the snapshot"
         );
     }
 
@@ -3490,11 +2694,11 @@ mod tests {
     }
 
     #[test]
-    fn windowed_replay_is_bit_identical_to_sequential() {
+    fn epoch_chained_replay_is_bit_identical_to_sequential() {
         let plans = make_plans(5);
         let sim = FleetSimulator::new(plans).unwrap();
-        // A fluctuating, tightish market exercises demotion and
-        // reconciliation, not just happy-path speculation.
+        // A fluctuating, tightish market exercises demotion and carried
+        // in-flight state, not just an empty market at every boundary.
         let config = FleetConfig {
             market: MarketConfig {
                 vms_per_family: 2,
@@ -3510,27 +2714,28 @@ mod tests {
             },
             ..FleetConfig::default()
         };
-        let trace = TraceSource::Bursty {
-            calm_rps: 0.2,
-            burst_rps: 3.0,
-            mean_calm_secs: 30.0,
-            mean_burst_secs: 6.0,
-        }
-        .generate(FunctionKind::ALL.len(), 120.0, 5)
+        let lazy = StreamTrace::generate(
+            TraceSource::Bursty {
+                calm_rps: 0.2,
+                burst_rps: 3.0,
+                mean_calm_secs: 30.0,
+                mean_burst_secs: 6.0,
+            },
+            FunctionKind::ALL.len(),
+            120.0,
+            5,
+        )
         .unwrap();
+        let trace = lazy.materialize().unwrap();
         for strategy in PlacementStrategy::ALL {
             let seq = sim.run(&trace, strategy, &config).unwrap();
-            for threads in [1, 2, 8] {
-                for window_secs in [3.0, 17.0, 120.0] {
-                    let windowed = sim
-                        .run_windowed(&trace, strategy, &config, threads, window_secs)
-                        .unwrap();
-                    assert_eq!(
-                        format!("{seq:?}"),
-                        format!("{windowed:?}"),
-                        "{strategy:?} diverged at {threads} threads, {window_secs}s windows"
-                    );
-                }
+            for epoch_secs in [3.0, 17.0, 120.0] {
+                let epochs = chained(&sim, &lazy, strategy, &config, epoch_secs).unwrap();
+                assert_eq!(
+                    format!("{seq:?}"),
+                    format!("{epochs:?}"),
+                    "{strategy:?} diverged at {epoch_secs}s epochs"
+                );
             }
         }
     }
@@ -3697,17 +2902,22 @@ mod tests {
     }
 
     #[test]
-    fn every_controller_is_windowed_bit_identical() {
+    fn every_controller_is_epoch_chain_bit_identical() {
         let plans = make_plans(5);
         let sim = FleetSimulator::new(plans).unwrap();
-        let trace = TraceSource::Bursty {
-            calm_rps: 0.3,
-            burst_rps: 3.0,
-            mean_calm_secs: 25.0,
-            mean_burst_secs: 6.0,
-        }
-        .generate(FunctionKind::ALL.len(), 180.0, 9)
+        let lazy = StreamTrace::generate(
+            TraceSource::Bursty {
+                calm_rps: 0.3,
+                burst_rps: 3.0,
+                mean_calm_secs: 25.0,
+                mean_burst_secs: 6.0,
+            },
+            FunctionKind::ALL.len(),
+            180.0,
+            9,
+        )
         .unwrap();
+        let trace = lazy.materialize().unwrap();
         for controller in [
             ControllerConfig::Static,
             ControllerConfig::HeadroomPid(PidConfig::default()),
@@ -3717,26 +2927,23 @@ mod tests {
             let seq = sim
                 .run(&trace, PlacementStrategy::IdleAware, &config)
                 .unwrap();
-            for threads in [1, 4] {
-                // 7 s windows split every 10 s control epoch across
-                // boundaries, so carried accumulators and controller
-                // state really get exercised.
-                for window_secs in [7.0, 45.0] {
-                    let windowed = sim
-                        .run_windowed(
-                            &trace,
-                            PlacementStrategy::IdleAware,
-                            &config,
-                            threads,
-                            window_secs,
-                        )
-                        .unwrap();
-                    assert_eq!(
-                        format!("{seq:?}"),
-                        format!("{windowed:?}"),
-                        "{controller:?} diverged at {threads} threads, {window_secs}s windows"
-                    );
-                }
+            // 7 s epochs split every 10 s control epoch across
+            // boundaries, so carried accumulators and controller state
+            // really get exercised.
+            for epoch_secs in [7.0, 45.0] {
+                let epochs = chained(
+                    &sim,
+                    &lazy,
+                    PlacementStrategy::IdleAware,
+                    &config,
+                    epoch_secs,
+                )
+                .unwrap();
+                assert_eq!(
+                    format!("{seq:?}"),
+                    format!("{epochs:?}"),
+                    "{controller:?} diverged at {epoch_secs}s epochs"
+                );
             }
         }
     }
@@ -3765,7 +2972,9 @@ mod tests {
         let full = lazy.materialize().unwrap();
         for strategy in PlacementStrategy::ALL {
             let reference = sim.run(&full, strategy, &config).unwrap();
-            let (streamed, stats) = sim.run_stream_with_stats(&lazy, strategy, &config).unwrap();
+            let (streamed, stats) = sim
+                .run_stream_traced(&lazy, strategy, &config, &mut NoopRecorder)
+                .unwrap();
             assert_eq!(
                 format!("{reference:?}"),
                 format!("{streamed:?}"),
@@ -3781,149 +2990,23 @@ mod tests {
                 stats.peak_resident_events(),
                 full.len()
             );
-            for threads in [1, 4] {
-                for window_secs in [3.0, 45.0] {
-                    let windowed = sim
-                        .run_stream_windowed(&lazy, strategy, &config, threads, window_secs)
-                        .unwrap();
-                    assert_eq!(
-                        format!("{reference:?}"),
-                        format!("{windowed:?}"),
-                        "{strategy:?} diverged at {threads} threads, {window_secs}s windows"
-                    );
-                }
-            }
         }
-        // The streaming engines reject the same degenerate windows.
-        assert!(sim
-            .run_stream_windowed(&lazy, PlacementStrategy::IdleAware, &config, 2, 0.0)
+        // Resumable replays reject degenerate epochs: empty ones, and
+        // ones so short they would cut the trace into more than
+        // MAX_WINDOWS epochs.
+        for epoch_secs in [0.0, 1e-9] {
+            assert!(chained(
+                &sim,
+                &lazy,
+                PlacementStrategy::IdleAware,
+                &config,
+                epoch_secs
+            )
             .is_err());
-        assert!(sim
-            .run_stream_windowed(&lazy, PlacementStrategy::IdleAware, &config, 2, 1e-9)
-            .is_err());
-        // A mis-sized fleet is rejected identically.
+        }
+        // A mis-sized fleet is rejected.
         let small = StreamTrace::generate(source, 3, 30.0, 1).unwrap();
-        assert!(sim
-            .run_stream(&small, PlacementStrategy::IdleAware, &config)
-            .is_err());
-    }
-
-    #[test]
-    fn replay_config_knobs_stay_bit_identical_and_force_the_fallback() {
-        let plans = make_plans(5);
-        let sim = FleetSimulator::new(plans).unwrap();
-        // A volatile market under feedback control: carried state is
-        // never trivially empty, so speculation genuinely has to work.
-        let config = volatile_config(ControllerConfig::HeadroomPid(PidConfig::default()));
-        let lazy = StreamTrace::generate(
-            TraceSource::HeavyTail {
-                mean_rps: 2.0,
-                alpha: 1.5,
-            },
-            FunctionKind::ALL.len(),
-            300.0,
-            5,
-        )
-        .unwrap();
-        let reference = sim
-            .run(
-                &lazy.materialize().unwrap(),
-                PlacementStrategy::IdleAware,
-                &config,
-            )
-            .unwrap();
-        // The sorted-drain queue is the wheel's reference order: same
-        // report, bit for bit.
-        let sorted = sim
-            .run_stream_windowed_with(
-                &lazy,
-                PlacementStrategy::IdleAware,
-                &config,
-                &ReplayConfig {
-                    completion_queue: CompletionQueueKind::SortedDrain,
-                    ..ReplayConfig::default()
-                },
-                4,
-                7.0,
-            )
-            .unwrap();
-        assert_eq!(format!("{reference:?}"), format!("{sorted:?}"));
-        // A zero round budget bails out after the first speculative
-        // round, forcing the sequential exact-carry fallback — still
-        // bit-identical, and the stats prove the fallback actually ran.
-        let (report, stats) = sim
-            .run_stream_windowed_with_stats(
-                &lazy,
-                PlacementStrategy::IdleAware,
-                &config,
-                &ReplayConfig {
-                    max_speculative_rounds: 0,
-                    stall_margin: 0,
-                    ..ReplayConfig::default()
-                },
-                4,
-                7.0,
-            )
-            .unwrap();
-        assert_eq!(format!("{reference:?}"), format!("{report:?}"));
-        assert!(
-            stats.fallback_windows > 0,
-            "a zero round budget must re-run stale windows sequentially"
-        );
-    }
-
-    #[test]
-    fn ladder_memory_stays_sqrt_of_windows() {
-        let plans = make_plans(5);
-        let sim = FleetSimulator::new(plans).unwrap();
-        let config = FleetConfig::default();
-        // 1 s windows over a 10-minute trace: enough boundaries that
-        // O(W) and O(√W) pre-pass memory are an order of magnitude
-        // apart.
-        let lazy = StreamTrace::generate(
-            TraceSource::Poisson {
-                rps_per_function: 1.0,
-            },
-            FunctionKind::ALL.len(),
-            600.0,
-            7,
-        )
-        .unwrap();
-        let (report, stats) = sim
-            .run_stream_windowed_with_stats(
-                &lazy,
-                PlacementStrategy::IdleAware,
-                &config,
-                &ReplayConfig::default(),
-                4,
-                1.0,
-            )
-            .unwrap();
-        let reference = sim
-            .run_stream(&lazy, PlacementStrategy::IdleAware, &config)
-            .unwrap();
-        assert_eq!(format!("{reference:?}"), format!("{report:?}"));
-        let n = (lazy.horizon_nanos() / 1_000_000_000) as usize + 1;
-        assert!(n > 500, "the trace must split into many windows, got {n}");
-        let stride = isqrt_ceil(n);
-        // The pre-pass held O(√W) anchors — far below one checkpoint
-        // per boundary — each O(functions) in size.
-        assert_eq!(stats.ladder_anchors, n.div_ceil(stride));
-        assert!(
-            stats.ladder_anchors <= stride,
-            "{} anchors exceed √{n}",
-            stats.ladder_anchors
-        );
-        assert!(stats.ladder_anchors < n / 4);
-        assert_eq!(stats.peak_cursor_resident, FunctionKind::ALL.len());
-        // Re-derived boundaries cost bounded forward drains: each
-        // derivation skips fewer than one stride's worth of the trace,
-        // so a full pass over the windows re-drains at most
-        // (stride − 1) × events, and a window runs at most once per
-        // speculative round plus the fallback pass.
-        let max_passes = ReplayConfig::default().max_speculative_rounds + 2;
-        assert!(stats.ladder_redrain_events > 0);
-        assert!(stats.ladder_redrain_events <= max_passes * (stride - 1) * stats.events);
+        assert!(stream(&sim, &small, PlacementStrategy::IdleAware, &config).is_err());
     }
 
     #[test]
@@ -3949,27 +3032,7 @@ mod tests {
             Err(FreedomError::InvalidArgument(_))
         ));
         let ok = Trace::poisson(10.0, 0.5, 1).unwrap();
-        // Bad window, SLO theta, and market parameters.
-        assert!(sim
-            .run_windowed(
-                &ok,
-                PlacementStrategy::IdleAware,
-                &FleetConfig::default(),
-                2,
-                0.0
-            )
-            .is_err());
-        // A window absurdly small for the trace span is rejected before
-        // any per-window bookkeeping is allocated.
-        assert!(sim
-            .run_windowed(
-                &ok,
-                PlacementStrategy::IdleAware,
-                &FleetConfig::default(),
-                2,
-                1e-9
-            )
-            .is_err());
+        // Bad SLO theta and market parameters.
         assert!(sim
             .run(
                 &ok,

@@ -18,10 +18,10 @@
 //!   emitting both placements and a market admission policy;
 //! - [`market`] and [`fleet`]: the shared cross-function spot market
 //!   (supply process, capacity ledger, admission control) and the
-//!   windowed trace replay that simulates a whole fleet against it;
+//!   sequential trace replay that simulates a whole fleet against it;
 //! - [`stream`]: the constant-memory trace pipeline — resumable
 //!   per-function event cursors ([`stream::StreamTrace`]) replayed by
-//!   `FleetSimulator::run_stream` with peak memory O(functions +
+//!   `FleetSimulator::run_stream_traced` with peak memory O(functions +
 //!   in-flight) instead of O(total arrivals);
 //! - [`faults`]: seeded fault-injection plans (zone outages, supply
 //!   shocks, dropped preemption notices) expanded into simulated-time
@@ -35,10 +35,10 @@
 //!   brownout mode that sheds retries before fresh arrivals under
 //!   retry-pressure overload;
 //! - [`snapshot`]: versioned crash-resume snapshots — the stream
-//!   checkpoint plus the windowed carry serialized at epoch boundaries
+//!   checkpoint plus the exact carry serialized at epoch boundaries
 //!   so a killed replay resumes bit-identically;
 //! - [`telemetry`]: the zero-allocation observability layer — the
-//!   replay engines are generic over a
+//!   replay engine is generic over a
 //!   [`Recorder`](telemetry::Recorder) (noop by default, monomorphized
 //!   away) that collects preallocated counters, log2 latency/value
 //!   histograms, and simulated-time + wall-time span traces, exported
@@ -86,7 +86,6 @@ pub mod snapshot;
 pub mod strategies;
 pub mod stream;
 pub mod trace;
-mod wheel;
 
 pub use freedom_telemetry as telemetry;
 

@@ -6,15 +6,15 @@
 //! half of that machinery: [`RetryPolicy`] names the backoff curve,
 //! attempt cap, per-family retry budget, hedging delay, and brownout
 //! thresholds as plain data, and [`RetryBudget`] / [`PendingRetry`] are
-//! the carried state the replay engines thread through the windowed
-//! carry. Everything here is a pure function of `(policy, invocation
+//! the carried state the replay threads across epoch boundaries (and
+//! into crash-resume snapshots). Everything here is a pure function of `(policy, invocation
 //! identity, simulated time)`:
 //!
 //! - **Backoff** is exponential with *seeded* jitter: the delay before
 //!   attempt `k` is `base * 2^(k-2)` capped at `backoff_cap_secs`, then
 //!   scaled by a deterministic per-`(seed, idx, attempt)` hash draw —
-//!   never a wall-clock or shared-RNG quantity, so the windowed engines
-//!   schedule the identical retry instant.
+//!   never a wall-clock or shared-RNG quantity, so a resumed replay
+//!   schedules the identical retry instant.
 //! - **Budgets** are token buckets *in simulated time*: each instance
 //!   family refills at `budget_per_sec` up to `budget_burst`, and every
 //!   retry admission spends one token. Refill is lazy fixed-point
@@ -218,8 +218,8 @@ impl Default for RetryPolicy {
 /// These are first-class events in the replay: within one instant the
 /// engines order event classes `completion < step < notice < retry <
 /// tick`, and pending entries that outlive a window are carried — sorted
-/// by [`PendingRetry::key`] — into the next one, so windowed replay
-/// fires them bit-identically to the sequential walk.
+/// by [`PendingRetry::key`] — into the next one, so an epoch-chained
+/// replay fires them bit-identically to the uninterrupted walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PendingRetry {
     /// Fire instant, simulated nanoseconds.

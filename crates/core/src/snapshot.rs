@@ -1,6 +1,6 @@
 //! Versioned crash-resume snapshots for the streaming fleet replay.
 //!
-//! `FleetSimulator::run_stream_resumable` chains exact-carry windows
+//! `FleetSimulator::run_stream_resumable_traced` chains exact-carry windows
 //! sequentially and, at every window (epoch) boundary, hands the caller
 //! a [`ReplaySnapshot`]: the trace stream's resumable position
 //! ([`crate::stream::StreamCheckpoint`]), the carried simulation state
@@ -55,7 +55,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
 
 /// A resumable position in a streaming fleet replay, taken at a window
 /// (epoch) boundary. Opaque outside the crate: produce one with
-/// `FleetSimulator::run_stream_resumable`'s snapshot callback, persist
+/// `FleetSimulator::run_stream_resumable_traced`'s snapshot callback, persist
 /// it with [`ReplaySnapshot::write_to`] (or [`ReplaySnapshot::to_bytes`]),
 /// and feed it back as the `resume` argument after a crash.
 #[derive(Debug, Clone)]

@@ -23,10 +23,9 @@
 //!   stream's position (per-function generator states and pending
 //!   events; for CSV, the file index and decompressed byte offset plus
 //!   open rows); [`StreamTrace::open_at`] reopens the stream there,
-//!   replaying the identical suffix. This is how the windowed fleet
-//!   replay re-seeks a window by epoch — and re-runs it during
-//!   reconciliation by rewinding to the same checkpoint — without ever
-//!   holding the merged view.
+//!   replaying the identical suffix. This is how a crash-resumed fleet
+//!   replay re-seeks its epoch boundary without ever holding the merged
+//!   view.
 //! - **CSV lookahead.** Rows may arrive out of minute order by at most
 //!   [`CSV_LOOKAHEAD_MINUTES`]; the reader buffers the open rows of that
 //!   sliding window (its only super-constant state) and rejects files
@@ -706,7 +705,7 @@ impl StreamTrace {
 
     /// Reopens the stream at a checkpoint previously taken from one of
     /// this trace's streams, replaying the identical suffix — the
-    /// windowed replay's epoch re-seek. Returns
+    /// crash-resumed replay's epoch re-seek. Returns
     /// [`FreedomError::InvalidArgument`] when the checkpoint belongs to
     /// the other stream kind.
     pub fn open_at(&self, cp: &StreamCheckpoint) -> Result<EventStream<'_>> {
@@ -740,74 +739,6 @@ impl StreamTrace {
             _ => Err(FreedomError::InvalidArgument(
                 "stream checkpoint does not belong to this trace kind".into(),
             )),
-        }
-    }
-
-    /// Checkpoints positioned at each of `boundaries` (integer
-    /// nanoseconds, non-decreasing): checkpoint `i` resumes at the first
-    /// event with `event_nanos(at_secs) >= boundaries[i]` — exactly the
-    /// position a sequential drain-to-boundary walk of `open()` reaches.
-    /// This is the windowed replay's **checkpoint ladder** anchor pass.
-    ///
-    /// Synthetic traces derive all anchors sharded over `threads`
-    /// workers: which arrivals a function has consumed at a time
-    /// boundary depends only on that function's own stream, never on
-    /// the merge interleaving, so per-function cursor walks compose
-    /// into checkpoints bit-identical to the sequential walk's. CSV
-    /// traces fall back to one sequential drain (the reader's lookahead
-    /// window is inherently serial).
-    pub fn checkpoints_at(
-        &self,
-        boundaries: &[u64],
-        threads: usize,
-    ) -> Result<Vec<StreamCheckpoint>> {
-        debug_assert!(
-            boundaries.windows(2).all(|w| w[0] <= w[1]),
-            "ladder boundaries must be non-decreasing"
-        );
-        match &self.spec {
-            StreamSpec::Synthetic {
-                source,
-                duration_secs,
-                seed,
-            } => {
-                let per_fn = freedom_parallel::par_run(self.n_functions, threads, |f| {
-                    let mut c = GenCursor::new(source, *duration_secs, stream_seed(*seed, f));
-                    let mut pending = c.next_arrival();
-                    let mut states = Vec::with_capacity(boundaries.len());
-                    for &t in boundaries {
-                        while pending.is_some_and(|p| event_nanos(p) < t) {
-                            pending = c.next_arrival();
-                        }
-                        states.push((c.clone(), pending));
-                    }
-                    states
-                });
-                Ok((0..boundaries.len())
-                    .map(|b| {
-                        let mut cursors = Vec::with_capacity(self.n_functions);
-                        let mut pending = Vec::with_capacity(self.n_functions);
-                        for states in &per_fn {
-                            cursors.push(states[b].0.clone());
-                            pending.push(states[b].1);
-                        }
-                        StreamCheckpoint {
-                            imp: CpImp::Merge { cursors, pending },
-                        }
-                    })
-                    .collect())
-            }
-            StreamSpec::Csv { .. } => {
-                let mut stream = self.open()?;
-                let mut out = Vec::with_capacity(boundaries.len());
-                for &t in boundaries {
-                    while stream.peek().is_some_and(|e| event_nanos(e.at_secs) < t) {
-                        stream.next();
-                    }
-                    out.push(stream.checkpoint());
-                }
-                Ok(out)
-            }
         }
     }
 
@@ -1821,40 +1752,6 @@ mod tests {
             drain(&mut lazy.open_at(&before).unwrap()),
             drain(&mut lazy.open_at(&after).unwrap()),
         );
-    }
-
-    #[test]
-    fn sharded_boundary_checkpoints_match_the_sequential_walk() {
-        // The ladder pass (`checkpoints_at`) must produce checkpoints
-        // whose suffixes are bit-identical to those of a sequential
-        // drain-to-boundary walk — for synthetic shards and the serial
-        // CSV fallback alike.
-        let window = event_nanos(25.0);
-        let traces = [
-            StreamTrace::generate(SOURCES[1], 6, 120.0, 9).unwrap(),
-            StreamTrace::from_csv(AZURE_FIXTURE).unwrap(),
-        ];
-        for lazy in traces {
-            let boundaries: Vec<u64> = (0..6).map(|k| k * window).collect();
-            // Reference: one sequential walk over the merged stream.
-            let mut stream = lazy.open().unwrap();
-            let mut reference = Vec::new();
-            for &t in &boundaries {
-                while stream.peek().is_some_and(|e| event_nanos(e.at_secs) < t) {
-                    stream.next();
-                }
-                reference.push(stream.checkpoint());
-            }
-            for threads in [1, 4] {
-                let ladder = lazy.checkpoints_at(&boundaries, threads).unwrap();
-                assert_eq!(ladder.len(), reference.len());
-                for (k, (a, b)) in ladder.iter().zip(&reference).enumerate() {
-                    let ours = drain(&mut lazy.open_at(a).unwrap());
-                    let theirs = drain(&mut lazy.open_at(b).unwrap());
-                    assert_eq!(ours, theirs, "boundary {k}, threads {threads}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property-based tests for the framework-level invariants.
 
 use freedom::fleet::{
-    AdmissionPolicy, BrownoutConfig, FaultPlan, FleetConfig, FleetSimulator, FunctionPlan,
-    PlacementStrategy, RetryPolicy, SupplyProcess, Trace, TraceSource, ZoneConfig,
+    AdmissionPolicy, BrownoutConfig, FaultPlan, FleetConfig, FleetReport, FleetSimulator,
+    FunctionPlan, NoopRecorder, PlacementStrategy, RetryPolicy, SupplyProcess, Trace, TraceSource,
+    ZoneConfig,
 };
 use freedom::interfaces::hierarchical_ideal;
 use freedom::market::MarketConfig;
@@ -240,9 +241,8 @@ fn nanos(at_secs: f64) -> u64 {
 
 /// The streaming pipeline's ground truth: a lazily-opened stream must
 /// yield exactly the materialized trace's events (same bits, same
-/// order), and the checkpoint-per-epoch re-seek the windowed replay
-/// performs must partition the stream exactly like
-/// `Trace::window_bounds` partitions the merged view.
+/// order), and the checkpoint-per-epoch re-seek a crash-resumed replay
+/// performs must replay exactly the events of each epoch.
 fn check_stream_matches_materialized(
     lazy: &StreamTrace,
     window_nanos: u64,
@@ -269,27 +269,29 @@ fn check_stream_matches_materialized(
         lazy.horizon_nanos(),
         nanos(full.events().last().unwrap().at_secs)
     );
-    // Epoch partition: walk the stream once, checkpointing at each
-    // window boundary (the engine's pre-pass); re-opening checkpoint k
-    // must replay exactly the `window_bounds` slice of window k.
-    let bounds = full.window_bounds(window_nanos);
+    // Epoch re-seek: walk the stream once, checkpointing at each epoch
+    // boundary; re-opening the checkpoint must replay the epoch's
+    // events, and the epochs together must cover the trace.
+    let events = full.events();
     let mut walk = lazy.open().expect("open");
-    for (k, range) in bounds.iter().enumerate() {
-        let cp = walk.checkpoint();
-        let end = (k as u64 + 1).saturating_mul(window_nanos);
-        let mut count = 0usize;
+    let mut at = 0usize;
+    for k in 0..=lazy.horizon_nanos() / window_nanos {
+        let mut resumed = lazy.open_at(&walk.checkpoint()).expect("re-seek");
+        let end = (k + 1).saturating_mul(window_nanos);
         while walk.peek().is_some_and(|e| nanos(e.at_secs) < end) {
             walk.next();
-            count += 1;
-        }
-        prop_assert_eq!(count, range.len(), "window {} miscounted", k);
-        let mut window = lazy.open_at(&cp).expect("re-seek");
-        for expect in &full.events()[range.clone()] {
-            let got = window.next().expect("window ended early");
-            prop_assert_eq!(got.at_secs.to_bits(), expect.at_secs.to_bits());
-            prop_assert_eq!(got.function, expect.function);
+            let got = resumed.next().expect("re-seeked epoch ended early");
+            prop_assert_eq!(
+                got.at_secs.to_bits(),
+                events[at].at_secs.to_bits(),
+                "epoch {}",
+                k
+            );
+            prop_assert_eq!(got.function, events[at].function, "epoch {}", k);
+            at += 1;
         }
     }
+    prop_assert_eq!(at, events.len(), "epochs must cover the trace");
     Ok(())
 }
 
@@ -366,9 +368,9 @@ proptest! {
     /// soup cut at arbitrary line boundaries into 2–5 files — cuts land
     /// mid-minute, backward jitter straddles the seams, a random subset
     /// of the files is gzip'd, and empty files are legal — must replay
-    /// the exact event bits of the uncut CSV, partition identically
-    /// under `window_bounds`, and `checkpoint()`/`open_at()` re-seeks
-    /// must land correctly in whichever file a window starts in.
+    /// the exact event bits of the uncut CSV, and `checkpoint()`/
+    /// `open_at()` re-seeks must land correctly in whichever file an
+    /// epoch starts in.
     #[test]
     fn multi_file_csv_ingestion_matches_single_file(
         rows in prop::collection::vec(
@@ -424,153 +426,8 @@ proptest! {
         }
         prop_assert!(stream.next().is_none(), "multi-file stream yielded extra events");
 
-        // window_bounds partitions and checkpoint re-seeks across files.
+        // Epoch checkpoint re-seeks across files.
         check_stream_matches_materialized(&lazy, window_secs * 1_000_000_000)?;
-    }
-}
-
-/// Emulates the engine's sqrt-spaced checkpoint ladder over a stream
-/// and checks that every window replayed from a ladder anchor (anchor
-/// checkpoint + bounded forward drain to the boundary) is bit-identical
-/// to a direct `checkpoint()`-per-boundary walk and to the materialized
-/// `window_bounds` slice — including zero-length windows (no arrivals
-/// between boundaries) and the final partial window.
-fn check_ladder_matches_direct(
-    lazy: &StreamTrace,
-    window_nanos: u64,
-    threads: usize,
-) -> Result<(), proptest::TestCaseError> {
-    let full = lazy.materialize().expect("materialize");
-    if full.is_empty() {
-        return Ok(());
-    }
-    let bounds = full.window_bounds(window_nanos);
-    let n = bounds.len();
-    // Direct reference: one sequential walk, checkpointing at every
-    // boundary — the engine's pre-PR-6 pre-pass.
-    let mut walk = lazy.open().expect("open");
-    let mut direct = Vec::with_capacity(n);
-    for k in 0..n {
-        direct.push(walk.checkpoint());
-        let end = (k as u64 + 1).saturating_mul(window_nanos);
-        while walk.peek().is_some_and(|e| nanos(e.at_secs) < end) {
-            walk.next();
-        }
-    }
-    // The ladder: O(sqrt(windows)) anchors derived in one sharded pass,
-    // intermediate boundaries re-derived by bounded forward drains.
-    let stride = (1usize..).find(|s| s * s >= n).expect("sqrt exists");
-    let anchor_bounds: Vec<u64> = (0..n)
-        .step_by(stride)
-        .map(|k| (k as u64).saturating_mul(window_nanos))
-        .collect();
-    let anchors = lazy
-        .checkpoints_at(&anchor_bounds, threads)
-        .expect("ladder pre-pass");
-    prop_assert_eq!(anchors.len(), anchor_bounds.len());
-    for (k, range) in bounds.iter().enumerate() {
-        let start = (k as u64).saturating_mul(window_nanos);
-        let end = (k as u64 + 1).saturating_mul(window_nanos);
-        let mut derived = lazy.open_at(&anchors[k / stride]).expect("re-seek anchor");
-        while derived.peek().is_some_and(|e| nanos(e.at_secs) < start) {
-            derived.next();
-        }
-        let mut reference = lazy.open_at(&direct[k]).expect("re-seek direct");
-        for expect in &full.events()[range.clone()] {
-            let via_ladder = derived.next().expect("ladder window ended early");
-            let via_direct = reference.next().expect("direct window ended early");
-            prop_assert_eq!(
-                via_ladder.at_secs.to_bits(),
-                expect.at_secs.to_bits(),
-                "window {} diverged via the ladder",
-                k
-            );
-            prop_assert_eq!(via_ladder.function, expect.function, "window {}", k);
-            prop_assert_eq!(
-                via_direct.at_secs.to_bits(),
-                expect.at_secs.to_bits(),
-                "window {} diverged via direct checkpoints",
-                k
-            );
-            prop_assert_eq!(via_direct.function, expect.function, "window {}", k);
-        }
-        // Both cursors must now sit exactly on boundary k+1 (or the
-        // stream's end), so the partition has no leaks between windows.
-        match (derived.peek(), reference.peek()) {
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(a.at_secs.to_bits(), b.at_secs.to_bits());
-                prop_assert_eq!(a.function, b.function);
-                prop_assert!(nanos(a.at_secs) >= end, "window {} leaked an event", k);
-            }
-            (None, None) => {}
-            _ => prop_assert!(false, "cursors disagree past window {}", k),
-        }
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Ladder-derived boundary checkpoints replay every window suffix
-    /// bit-identically to direct checkpoint-per-boundary walks for all
-    /// four synthetic generators under random parameters, fleet sizes,
-    /// seeds, window sizes (including windows larger than the whole
-    /// trace), and shard counts.
-    #[test]
-    fn ladder_checkpoints_match_direct_for_every_generator(
-        rate in 0.1f64..2.0,
-        alpha in 1.1f64..3.0,
-        ratio in 1.0f64..6.0,
-        n in 1usize..12,
-        seed in 0u64..1_000_000,
-        window_secs in 1u64..120,
-        threads in 1usize..5,
-    ) {
-        let duration = 90.0;
-        let sources = [
-            TraceSource::Poisson { rps_per_function: rate },
-            TraceSource::Bursty {
-                calm_rps: 0.05,
-                burst_rps: 2.0,
-                mean_calm_secs: 30.0,
-                mean_burst_secs: 6.0,
-            },
-            TraceSource::Diurnal {
-                mean_rps: rate,
-                peak_to_trough: ratio,
-                period_secs: 120.0,
-            },
-            TraceSource::HeavyTail { mean_rps: rate, alpha },
-        ];
-        for source in sources {
-            let lazy = StreamTrace::generate(source, n, duration, seed).expect("valid parameters");
-            check_ladder_matches_direct(&lazy, window_secs * 1_000_000_000, threads)?;
-        }
-    }
-
-    /// The same ladder-vs-direct equivalence for streamed CSV ingestion,
-    /// where checkpoint derivation has to respect the chunked reader's
-    /// lookahead window instead of a per-function generator cursor.
-    #[test]
-    fn ladder_checkpoints_match_direct_for_csv_streams(
-        rows in prop::collection::vec(
-            (0u8..3, 0u8..3, 0u64..3, 0u64..5, 0u64..40),
-            1..25,
-        ),
-        chunk in 1usize..64,
-        window_secs in 1u64..10,
-        threads in 1usize..5,
-    ) {
-        let mut csv = String::new();
-        let mut base = 0u64;
-        for &(app, func, advance, back, count) in &rows {
-            base += advance;
-            let minute = base.saturating_sub(back);
-            csv.push_str(&format!("app{app},f{func},{minute},{count}\n"));
-        }
-        let lazy = StreamTrace::from_csv_chunked(&csv, chunk).expect("within lookahead bound");
-        check_ladder_matches_direct(&lazy, window_secs * 1_000_000_000, threads)?;
     }
 }
 
@@ -618,13 +475,51 @@ fn market_fixture() -> &'static Vec<FunctionPlan> {
     })
 }
 
+/// The fixture fleet's heavy-tail trace, lazy and materialized.
+fn market_trace(seed: u64) -> (StreamTrace, Trace) {
+    let lazy = StreamTrace::generate(
+        TraceSource::HeavyTail {
+            mean_rps: 1.0,
+            alpha: 1.4,
+        },
+        10,
+        60.0,
+        seed,
+    )
+    .expect("valid parameters");
+    let full = lazy.materialize().expect("materialize");
+    (lazy, full)
+}
+
+/// An uninterrupted resumable replay in epochs of `epoch_secs`: exact
+/// carries chained across every epoch boundary.
+fn epoch_chained(
+    sim: &FleetSimulator,
+    lazy: &StreamTrace,
+    strategy: PlacementStrategy,
+    config: &FleetConfig,
+    epoch_secs: f64,
+) -> FleetReport {
+    sim.run_stream_resumable_traced(
+        lazy,
+        strategy,
+        config,
+        epoch_secs,
+        None,
+        &mut NoopRecorder,
+        |_, _| Ok(true),
+    )
+    .expect("replay")
+    .expect("an uninterrupted run returns a report")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The admission ledger is total for any supply process, market
-    /// size, admission policy, and window partition: every request ends
-    /// as exactly one of admitted / demoted / rejected, and the windowed
-    /// engine agrees with the sequential reference bit for bit.
+    /// size, admission policy, and epoch partition: every request ends
+    /// as exactly one of admitted / demoted / rejected, and an
+    /// epoch-chained replay agrees with the reference bit for bit.
     #[test]
     fn market_accounting_is_total_for_random_supplies(
         trace_seed in 0u64..10_000,
@@ -634,13 +529,11 @@ proptest! {
         vms_per_family in 1usize..5,
         max_utilization in 0.0f64..1.0,
         greedy in 0u32..2,
-        window_secs in 1.0f64..90.0,
+        epoch_secs in 1.0f64..90.0,
     ) {
         let plans = market_fixture();
         let sim = FleetSimulator::new(plans.clone()).expect("non-empty fleet");
-        let trace = TraceSource::HeavyTail { mean_rps: 1.0, alpha: 1.4 }
-            .generate(10, 60.0, trace_seed)
-            .expect("valid parameters");
+        let (lazy, trace) = market_trace(trace_seed);
         let config = FleetConfig {
             market: MarketConfig {
                 vms_per_family,
@@ -665,13 +558,11 @@ proptest! {
             prop_assert!(report.policy_rejections + report.capacity_misses <= report.rejected);
             prop_assert!(report.total_cost_usd > 0.0 || trace.is_empty());
             prop_assert!(report.spot_share() <= 1.0);
-            let windowed = sim
-                .run_windowed(&trace, strategy, &config, 4, window_secs)
-                .expect("replay");
+            let epochs = epoch_chained(&sim, &lazy, strategy, &config, epoch_secs);
             prop_assert_eq!(
                 format!("{:?}", report),
-                format!("{:?}", windowed),
-                "windowed engine diverged"
+                format!("{:?}", epochs),
+                "epoch-chained replay diverged"
             );
         }
     }
@@ -681,7 +572,7 @@ proptest! {
     /// dropped notice deliveries, every request still ends in exactly
     /// one of the five terminal classes — admitted, drained, migrated,
     /// demoted, rejected — notices only ever hit outstanding spot
-    /// placements, and the windowed engine stays bit-identical.
+    /// placements, and an epoch-chained replay stays bit-identical.
     #[test]
     fn fault_injected_markets_keep_total_accounting(
         trace_seed in 0u64..10_000,
@@ -695,13 +586,11 @@ proptest! {
         notice_drop_fraction in 0.0f64..1.0,
         burst_rate in 0.0f64..120.0,
         burst_severity in 0.0f64..1.0,
-        window_secs in 1.0f64..90.0,
+        epoch_secs in 1.0f64..90.0,
     ) {
         let plans = market_fixture();
         let sim = FleetSimulator::new(plans.clone()).expect("non-empty fleet");
-        let trace = TraceSource::HeavyTail { mean_rps: 1.0, alpha: 1.4 }
-            .generate(10, 60.0, trace_seed)
-            .expect("valid parameters");
+        let (lazy, trace) = market_trace(trace_seed);
         let config = FleetConfig {
             market: MarketConfig {
                 vms_per_family: 2,
@@ -765,13 +654,11 @@ proptest! {
             if n_zones == 1 {
                 prop_assert_eq!(report.migrated, 0);
             }
-            let windowed = sim
-                .run_windowed(&trace, strategy, &config, 4, window_secs)
-                .expect("replay");
+            let epochs = epoch_chained(&sim, &lazy, strategy, &config, epoch_secs);
             prop_assert_eq!(
                 format!("{:?}", report),
-                format!("{:?}", windowed),
-                "windowed engine diverged under faults"
+                format!("{:?}", epochs),
+                "epoch-chained replay diverged under faults"
             );
         }
     }
@@ -781,7 +668,8 @@ proptest! {
     /// excluded as pure duplicates — ends in exactly one of the six
     /// terminal classes (admitted, drained, migrated, demoted, rejected,
     /// dead-lettered), retries never appear without transients to cause
-    /// them, and the windowed engine stays bit-identical for every seed.
+    /// them, and an epoch-chained replay stays bit-identical for every
+    /// seed.
     #[test]
     fn transient_faults_keep_retry_accounting_total(
         trace_seed in 0u64..10_000,
@@ -798,13 +686,11 @@ proptest! {
         budget_burst in 0.5f64..16.0,
         hedge_delay_secs in 0.0f64..6.0,
         brownout_on in 0u32..2,
-        window_secs in 1.0f64..90.0,
+        epoch_secs in 1.0f64..90.0,
     ) {
         let plans = market_fixture();
         let sim = FleetSimulator::new(plans.clone()).expect("non-empty fleet");
-        let trace = TraceSource::HeavyTail { mean_rps: 1.0, alpha: 1.4 }
-            .generate(10, 60.0, trace_seed)
-            .expect("valid parameters");
+        let (lazy, trace) = market_trace(trace_seed);
         let config = FleetConfig {
             market: MarketConfig {
                 vms_per_family: 2,
@@ -871,13 +757,11 @@ proptest! {
             if brownout_on == 0 {
                 prop_assert_eq!(report.shed_retries, 0, "shed without brownout");
             }
-            let windowed = sim
-                .run_windowed(&trace, strategy, &config, 4, window_secs)
-                .expect("replay");
+            let epochs = epoch_chained(&sim, &lazy, strategy, &config, epoch_secs);
             prop_assert_eq!(
                 format!("{:?}", report),
-                format!("{:?}", windowed),
-                "windowed engine diverged under transient faults"
+                format!("{:?}", epochs),
+                "epoch-chained replay diverged under transient faults"
             );
         }
     }

@@ -21,8 +21,8 @@
 //! the terminal summary; the report is bit-identical either way.
 
 use freedom::fleet::{
-    ControlConfig, ControllerConfig, FleetConfig, FleetReport, FleetSimulator, PidConfig,
-    PlacementStrategy, StreamTrace, Telemetry, TraceSource,
+    ControlConfig, ControllerConfig, FleetConfig, FleetReport, FleetSimulator, NoopRecorder,
+    PidConfig, PlacementStrategy, StreamTrace, Telemetry, TraceSource,
 };
 use freedom::market::MarketConfig;
 use freedom::snapshot::ReplaySnapshot;
@@ -158,13 +158,14 @@ fn main() {
         println!("{}", tel.summary());
         out
     } else {
-        sim.run_stream_resumable(
+        sim.run_stream_resumable_traced(
             &trace,
             PlacementStrategy::IdleAware,
             &config,
             snapshot_secs,
             resume_from.as_ref(),
-            |snap| {
+            &mut NoopRecorder,
+            |snap, _| {
                 snap.write_to(&snapshot_path)?;
                 if let Some(kill) = kill_epoch {
                     if snap.epoch() >= kill {

@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use freedom::fleet::{
     AdmissionPolicy, ControlConfig, ControllerConfig, FleetConfig, FleetReport, FleetSimulator,
-    PidConfig, PlacementStrategy, StreamTrace, Telemetry,
+    NoopRecorder, PidConfig, PlacementStrategy, StreamTrace, Telemetry,
 };
 use freedom::snapshot::ReplaySnapshot;
 use freedom_experiments as exp;
@@ -133,16 +133,23 @@ fn main() {
     if verify {
         let kill = kill_epoch.unwrap_or(2);
         let baseline = sim
-            .run_stream(&trace, PlacementStrategy::IdleAware, &config)
-            .expect("uninterrupted replay");
+            .run_stream_traced(
+                &trace,
+                PlacementStrategy::IdleAware,
+                &config,
+                &mut NoopRecorder,
+            )
+            .expect("uninterrupted replay")
+            .0;
         let killed = sim
-            .run_stream_resumable(
+            .run_stream_resumable_traced(
                 &trace,
                 PlacementStrategy::IdleAware,
                 &config,
                 snapshot_secs,
                 None,
-                |snap| {
+                &mut NoopRecorder,
+                |snap, _| {
                     snap.write_to(&snapshot_path)?;
                     Ok(snap.epoch() < kill)
                 },
@@ -156,13 +163,14 @@ fn main() {
             snap.events_consumed()
         );
         let resumed = sim
-            .run_stream_resumable(
+            .run_stream_resumable_traced(
                 &trace,
                 PlacementStrategy::IdleAware,
                 &config,
                 snapshot_secs,
                 Some(&snap),
-                |_| Ok(true),
+                &mut NoopRecorder,
+                |_, _| Ok(true),
             )
             .expect("resumed replay")
             .expect("resumed replay reached the end");
@@ -236,13 +244,14 @@ fn main() {
         println!("{}", tel.summary());
         out
     } else {
-        sim.run_stream_resumable(
+        sim.run_stream_resumable_traced(
             &trace,
             PlacementStrategy::IdleAware,
             &config,
             snapshot_secs,
             resume_from.as_ref(),
-            |snap| {
+            &mut NoopRecorder,
+            |snap, _| {
                 snap.write_to(&snapshot_path)?;
                 if let Some(kill) = kill_epoch {
                     if snap.epoch() >= kill {

@@ -25,15 +25,13 @@
 
 use freedom::fleet::{
     BrownoutConfig, ControlConfig, ControllerConfig, FaultPlan, FleetConfig, FleetReport,
-    FleetSimulator, PlacementStrategy, RetryPolicy, StreamTrace, TraceSource,
+    FleetSimulator, NoopRecorder, PlacementStrategy, RetryPolicy, StreamTrace, TraceSource,
 };
+use freedom::snapshot::ReplaySnapshot;
 
 use crate::context::{par_map, ExperimentOpts};
 use crate::fleet_simulation::{fleet_scale, market_config, market_tightness, tuned_base_plans};
 use crate::report::{fmt_f, TextTable};
-
-/// Replay window used by the windowed engine throughout the sweep.
-const WINDOW_SECS: f64 = 60.0;
 
 /// Controller tick cadence: brownout pressure is measured per control
 /// epoch, so the storm needs epochs to toggle in.
@@ -302,7 +300,7 @@ impl RetryStormResult {
 }
 
 /// Runs the sweep: every transient preset × retry policy over one
-/// heavy-tail trace on the tight market, replayed windowed across
+/// heavy-tail trace on the tight market, the cells fanned out across
 /// `opts.effective_threads()` workers, then the mid-storm kill/resume
 /// chaos check under two fault seeds.
 pub fn run(opts: &ExperimentOpts) -> freedom::Result<RetryStormResult> {
@@ -347,17 +345,26 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<RetryStormResult> {
         ..FleetConfig::default()
     };
     let replay = |config: &FleetConfig| {
-        if threads <= 1 {
-            sim.run_stream(&trace, PlacementStrategy::IdleAware, config)
-        } else {
-            sim.run_stream_windowed(
-                &trace,
-                PlacementStrategy::IdleAware,
-                config,
-                threads,
-                WINDOW_SECS,
-            )
-        }
+        sim.run_stream_traced(
+            &trace,
+            PlacementStrategy::IdleAware,
+            config,
+            &mut NoopRecorder,
+        )
+        .map(|(report, _)| report)
+    };
+    let resumable = |config: &FleetConfig,
+                     resume: Option<&ReplaySnapshot>,
+                     on_snapshot: &mut dyn FnMut(&ReplaySnapshot) -> bool| {
+        sim.run_stream_resumable_traced(
+            &trace,
+            PlacementStrategy::IdleAware,
+            config,
+            SNAPSHOT_SECS,
+            resume,
+            &mut NoopRecorder,
+            |s, _| Ok(on_snapshot(s)),
+        )
     };
 
     let faults = transient_presets();
@@ -407,46 +414,25 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<RetryStormResult> {
             },
             full.policy,
         );
-        let reference = sim.run_stream(&trace, PlacementStrategy::IdleAware, &config)?;
+        let reference = replay(&config)?;
         let mut epochs = Vec::new();
-        let uninterrupted = sim.run_stream_resumable(
-            &trace,
-            PlacementStrategy::IdleAware,
-            &config,
-            SNAPSHOT_SECS,
-            None,
-            |s| {
-                epochs.push(s.epoch());
-                Ok(true)
-            },
-        )?;
+        let uninterrupted = resumable(&config, None, &mut |s| {
+            epochs.push(s.epoch());
+            true
+        })?;
         let uninterrupted = uninterrupted.ok_or_else(|| {
             freedom::FreedomError::InvalidArgument("uninterrupted run was aborted".into())
         })?;
         let kill_at = epochs[epochs.len() / 2];
         let mut snap = None;
-        let crashed = sim.run_stream_resumable(
-            &trace,
-            PlacementStrategy::IdleAware,
-            &config,
-            SNAPSHOT_SECS,
-            None,
-            |s| {
-                snap = Some(s.clone());
-                Ok(s.epoch() < kill_at)
-            },
-        )?;
+        let crashed = resumable(&config, None, &mut |s| {
+            snap = Some(s.clone());
+            s.epoch() < kill_at
+        })?;
         let snap = snap.ok_or_else(|| {
             freedom::FreedomError::InvalidArgument("no snapshot reached the kill point".into())
         })?;
-        let resumed = sim.run_stream_resumable(
-            &trace,
-            PlacementStrategy::IdleAware,
-            &config,
-            SNAPSHOT_SECS,
-            Some(&snap),
-            |_| Ok(true),
-        )?;
+        let resumed = resumable(&config, Some(&snap), &mut |_| true)?;
         let resumed = resumed.ok_or_else(|| {
             freedom::FreedomError::InvalidArgument("resumed run was aborted".into())
         })?;

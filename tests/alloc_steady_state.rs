@@ -1,47 +1,62 @@
-//! Pins the replay hot loop's allocation discipline: once the
-//! thread-local pools (timer wheel, window drain buffer) are warm,
-//! replaying more events must not allocate more. Every per-event path —
-//! CSV row parse into the scratch key, wheel push/pop, ledger
+//! Pins the replay hot loop's allocation discipline: replaying more
+//! events must not allocate more. Every per-event path — CSV row parse
+//! into the scratch key, completion-heap push/pop, ledger
 //! place/release, metering pushes into exact-capacity vectors — is
 //! allocation-free; only per-run and per-window structures (context,
-//! metering headers, the carry itself) allocate, and their *count* is
-//! independent of the event count.
+//! metering headers, the completion heap, the carry itself) allocate,
+//! and their *count* is independent of the event count.
 //!
 //! The guard compares whole-run allocation counts between a small and an
 //! 8× larger trace over the same horizon (same ticks, same supply
 //! steps): the marginal allocations per added event must be zero, up to
 //! a small slack for amortized growth of event-count-logarithmic
 //! structures (e.g. the adjustments list).
+//!
+//! Allocations are counted **per thread**: libtest runs the tests in
+//! this file concurrently, and a process-wide counter would charge each
+//! test with the other's allocations. Every replay measured here runs
+//! on the test's own thread (in-memory CSV, no read-ahead thread).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use faas_freedom::core::fleet::{FleetConfig, FleetSimulator, PlacementStrategy, StreamTrace};
+use faas_freedom::core::fleet::{
+    FleetConfig, FleetSimulator, NoopRecorder, PlacementStrategy, StreamTrace,
+};
 use freedom_experiments::fleet_simulation::synthetic_plans;
 
-/// Counts every allocation event (alloc, alloc_zeroed, realloc) without
-/// changing behavior. Counting events rather than bytes is deliberate:
-/// a `with_capacity` reserve is one event regardless of size, so the
-/// count isolates *how often* the replay touches the allocator.
+/// Counts every allocation event (alloc, alloc_zeroed, realloc) of the
+/// calling thread without changing behavior. Counting events rather
+/// than bytes is deliberate: a `with_capacity` reserve is one event
+/// regardless of size, so the count isolates *how often* the replay
+/// touches the allocator.
 struct CountingAlloc;
 
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: the allocator may run while this thread's locals are
+    // being torn down.
+    let _ = ALLOC_EVENTS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc_zeroed(layout)
     }
 }
@@ -62,12 +77,13 @@ fn csv_trace(per_minute: u32) -> StreamTrace {
     StreamTrace::from_csv(&s).unwrap()
 }
 
+/// Allocation events of the calling thread so far.
 fn alloc_events() -> u64 {
-    ALLOC_EVENTS.load(Ordering::Relaxed)
+    ALLOC_EVENTS.with(Cell::get)
 }
 
-/// Allocation growth must be bounded by pool warm-up and logarithmic
-/// amortized growth, never by the event count. 64 events of slack
+/// Allocation growth must be bounded by logarithmic amortized growth,
+/// never by the event count. 64 events of slack
 /// absorbs vector-doubling tails; the small/large runs differ by
 /// thousands of events.
 const SLACK: u64 = 64;
@@ -86,12 +102,18 @@ fn steady_state_replay_allocations_are_event_count_independent() {
     let sim = FleetSimulator::new(plans).unwrap();
     let config = FleetConfig::default();
     let run = |trace: &StreamTrace| {
-        sim.run_stream(trace, PlacementStrategy::IdleAware, &config)
-            .unwrap()
+        sim.run_stream_traced(
+            trace,
+            PlacementStrategy::IdleAware,
+            &config,
+            &mut NoopRecorder,
+        )
+        .unwrap()
+        .0
     };
 
-    // Warm-up on the large trace: grows the thread-local wheel pool and
-    // drain buffer to their high-water capacities.
+    // Warm-up on the large trace: one-time lazy initialization stays out
+    // of the measured runs.
     let warm = run(&large);
 
     let before_small = alloc_events();
@@ -116,27 +138,37 @@ fn steady_state_replay_allocations_are_event_count_independent() {
         small_cost,
     );
 
-    // The windowed engine reuses the same pools across windows: two
-    // identical warm runs must allocate the same number of times (the
-    // work is deterministic, so any drift would mean a pool failed to
-    // retain capacity).
-    let windowed = |trace: &StreamTrace| {
-        sim.run_stream_windowed(trace, PlacementStrategy::IdleAware, &config, 1, 60.0)
-            .unwrap()
+    // The resumable replay chains one window per 60 s epoch (20 here):
+    // two identical warm runs must allocate the same number of times
+    // (the work is deterministic, so any drift would mean per-window
+    // state leaks or grows across runs).
+    let epochs = |trace: &StreamTrace| {
+        sim.run_stream_resumable_traced(
+            trace,
+            PlacementStrategy::IdleAware,
+            &config,
+            60.0,
+            None,
+            &mut NoopRecorder,
+            |_, _| Ok(true),
+        )
+        .unwrap()
+        .expect("an uninterrupted run returns a report")
     };
-    let warm_windowed = windowed(&large);
+    let warm_epochs = epochs(&large);
     let before_first = alloc_events();
-    let first = windowed(&large);
+    let first = epochs(&large);
     let first_cost = alloc_events() - before_first;
     let before_second = alloc_events();
-    let second = windowed(&large);
+    let second = epochs(&large);
     let second_cost = alloc_events() - before_second;
-    assert_eq!(format!("{warm_windowed:?}"), format!("{first:?}"));
+    assert_eq!(format!("{warm_epochs:?}"), format!("{first:?}"));
+    assert_eq!(format!("{first:?}"), format!("{large_report:?}"));
     assert_eq!(format!("{first:?}"), format!("{second:?}"));
     assert!(
         second_cost <= first_cost + SLACK / 8,
-        "identical warm windowed runs allocated {first_cost} then \
-         {second_cost} times: window scratch is not being reused"
+        "identical warm epoch-chained runs allocated {first_cost} then \
+         {second_cost} times: per-window state is not being released"
     );
 }
 

@@ -6,12 +6,46 @@
 
 use faas_freedom::core::fleet::{
     AdmissionPolicy, BrownoutConfig, ControlConfig, ControllerConfig, FaultPlan, FleetConfig,
-    FleetSimulator, PidConfig, PlacementStrategy, RetryPolicy, StreamTrace, SupplyProcess,
-    TraceSource, ZoneConfig,
+    FleetReport, FleetSimulator, NoopRecorder, PidConfig, PlacementStrategy, RetryPolicy,
+    StreamTrace, SupplyProcess, TraceSource, ZoneConfig,
 };
 use faas_freedom::core::market::MarketConfig;
 use faas_freedom::core::snapshot::ReplaySnapshot;
 use faas_freedom::prelude::FunctionKind;
+
+/// The uninterrupted streaming replay every resumed run must match.
+fn replay(sim: &FleetSimulator, lazy: &StreamTrace, config: &FleetConfig) -> FleetReport {
+    sim.run_stream_traced(
+        lazy,
+        PlacementStrategy::IdleAware,
+        config,
+        &mut NoopRecorder,
+    )
+    .unwrap()
+    .0
+}
+
+/// A crash-resumable replay in epochs of `epoch_secs`: `on_snapshot`
+/// sees every boundary's snapshot and returns `Ok(false)` to kill the
+/// run there.
+fn resumable(
+    sim: &FleetSimulator,
+    lazy: &StreamTrace,
+    config: &FleetConfig,
+    epoch_secs: f64,
+    resume: Option<&ReplaySnapshot>,
+    mut on_snapshot: impl FnMut(&ReplaySnapshot) -> faas_freedom::core::Result<bool>,
+) -> faas_freedom::core::Result<Option<FleetReport>> {
+    sim.run_stream_resumable_traced(
+        lazy,
+        PlacementStrategy::IdleAware,
+        config,
+        epoch_secs,
+        resume,
+        &mut NoopRecorder,
+        |s, _| on_snapshot(s),
+    )
+}
 
 fn faulted_config() -> FleetConfig {
     FleetConfig {
@@ -108,9 +142,7 @@ fn kill_at_random_epoch_resumes_bit_identically() {
     let lazy = hot_stream();
     let snapshot_secs = 20.0;
 
-    let reference = sim
-        .run_stream(&lazy, PlacementStrategy::IdleAware, &config)
-        .unwrap();
+    let reference = replay(&sim, &lazy, &config);
     assert!(
         reference.notified > 0 && reference.migrated + reference.drained > 0,
         "the scenario must exercise the failure domain: {reference:?}"
@@ -118,20 +150,12 @@ fn kill_at_random_epoch_resumes_bit_identically() {
 
     // Count the epochs once so the kill points can span the whole run.
     let mut epochs: Vec<u64> = Vec::new();
-    let full = sim
-        .run_stream_resumable(
-            &lazy,
-            PlacementStrategy::IdleAware,
-            &config,
-            snapshot_secs,
-            None,
-            |s| {
-                epochs.push(s.epoch());
-                Ok(true)
-            },
-        )
-        .unwrap()
-        .expect("uninterrupted run completes");
+    let full = resumable(&sim, &lazy, &config, snapshot_secs, None, |s| {
+        epochs.push(s.epoch());
+        Ok(true)
+    })
+    .unwrap()
+    .expect("uninterrupted run completes");
     assert_eq!(format!("{reference:?}"), format!("{full:?}"));
     assert!(epochs.len() >= 5, "want several boundaries, got {epochs:?}");
 
@@ -151,19 +175,11 @@ fn kill_at_random_epoch_resumes_bit_identically() {
         // The "crashing" process: persists every snapshot, then dies at
         // the chosen boundary (the callback's Ok(false) is the kill).
         let path = dir.join(format!("kill-{i}.snap"));
-        let crashed = sim
-            .run_stream_resumable(
-                &lazy,
-                PlacementStrategy::IdleAware,
-                &config,
-                snapshot_secs,
-                None,
-                |s| {
-                    s.write_to(&path)?;
-                    Ok(s.epoch() < kill_at)
-                },
-            )
-            .unwrap();
+        let crashed = resumable(&sim, &lazy, &config, snapshot_secs, None, |s| {
+            s.write_to(&path)?;
+            Ok(s.epoch() < kill_at)
+        })
+        .unwrap();
         assert!(
             crashed.is_none(),
             "epoch {kill_at}: kill must abort the run"
@@ -174,17 +190,11 @@ fn kill_at_random_epoch_resumes_bit_identically() {
         let snap = ReplaySnapshot::read_from(&path).unwrap();
         assert_eq!(snap.epoch(), kill_at);
         assert_eq!(snap.window_nanos(), 20_000_000_000);
-        let resumed = sim
-            .run_stream_resumable(
-                &lazy,
-                PlacementStrategy::IdleAware,
-                &config,
-                snapshot_secs,
-                Some(&snap),
-                |_| Ok(true),
-            )
-            .unwrap()
-            .expect("resumed run completes");
+        let resumed = resumable(&sim, &lazy, &config, snapshot_secs, Some(&snap), |_| {
+            Ok(true)
+        })
+        .unwrap()
+        .expect("resumed run completes");
         assert_eq!(
             format!("{reference:?}"),
             format!("{resumed:?}"),
@@ -207,17 +217,10 @@ fn foreign_and_corrupt_snapshots_are_rejected() {
     let lazy = hot_stream();
 
     let mut first: Option<ReplaySnapshot> = None;
-    sim.run_stream_resumable(
-        &lazy,
-        PlacementStrategy::IdleAware,
-        &config,
-        20.0,
-        None,
-        |s| {
-            first = Some(s.clone());
-            Ok(false)
-        },
-    )
+    resumable(&sim, &lazy, &config, 20.0, None, |s| {
+        first = Some(s.clone());
+        Ok(false)
+    })
     .unwrap();
     let snap = first.expect("at least one boundary");
 
@@ -229,27 +232,11 @@ fn foreign_and_corrupt_snapshots_are_rejected() {
         ..config
     };
     assert!(
-        sim.run_stream_resumable(
-            &lazy,
-            PlacementStrategy::IdleAware,
-            &reseeded,
-            20.0,
-            Some(&snap),
-            |_| Ok(true),
-        )
-        .is_err(),
+        resumable(&sim, &lazy, &reseeded, 20.0, Some(&snap), |_| Ok(true),).is_err(),
         "a different fault seed must invalidate the snapshot"
     );
     assert!(
-        sim.run_stream_resumable(
-            &lazy,
-            PlacementStrategy::IdleAware,
-            &config,
-            40.0,
-            Some(&snap),
-            |_| Ok(true),
-        )
-        .is_err(),
+        resumable(&sim, &lazy, &config, 40.0, Some(&snap), |_| Ok(true),).is_err(),
         "a different snapshot cadence must invalidate the snapshot"
     );
 
@@ -291,9 +278,7 @@ fn kill_mid_retry_storm_resumes_bit_identically() {
     let lazy = hot_stream();
     let snapshot_secs = 20.0;
 
-    let reference = sim
-        .run_stream(&lazy, PlacementStrategy::IdleAware, &config)
-        .unwrap();
+    let reference = replay(&sim, &lazy, &config);
     assert!(
         reference.retried > 0,
         "the storm must actually retry: {reference:?}"
@@ -304,20 +289,12 @@ fn kill_mid_retry_storm_resumes_bit_identically() {
     );
 
     let mut epochs: Vec<u64> = Vec::new();
-    let full = sim
-        .run_stream_resumable(
-            &lazy,
-            PlacementStrategy::IdleAware,
-            &config,
-            snapshot_secs,
-            None,
-            |s| {
-                epochs.push(s.epoch());
-                Ok(true)
-            },
-        )
-        .unwrap()
-        .expect("uninterrupted run completes");
+    let full = resumable(&sim, &lazy, &config, snapshot_secs, None, |s| {
+        epochs.push(s.epoch());
+        Ok(true)
+    })
+    .unwrap()
+    .expect("uninterrupted run completes");
     assert_eq!(format!("{reference:?}"), format!("{full:?}"));
     assert!(epochs.len() >= 5, "want several boundaries, got {epochs:?}");
 
@@ -327,33 +304,19 @@ fn kill_mid_retry_storm_resumes_bit_identically() {
     std::fs::create_dir_all(&dir).unwrap();
     for &kill_at in &epochs {
         let path = dir.join(format!("storm-{kill_at}.snap"));
-        let crashed = sim
-            .run_stream_resumable(
-                &lazy,
-                PlacementStrategy::IdleAware,
-                &config,
-                snapshot_secs,
-                None,
-                |s| {
-                    s.write_to(&path)?;
-                    Ok(s.epoch() < kill_at)
-                },
-            )
-            .unwrap();
+        let crashed = resumable(&sim, &lazy, &config, snapshot_secs, None, |s| {
+            s.write_to(&path)?;
+            Ok(s.epoch() < kill_at)
+        })
+        .unwrap();
         assert!(crashed.is_none(), "epoch {kill_at}: kill must abort");
 
         let snap = ReplaySnapshot::read_from(&path).unwrap();
-        let resumed = sim
-            .run_stream_resumable(
-                &lazy,
-                PlacementStrategy::IdleAware,
-                &config,
-                snapshot_secs,
-                Some(&snap),
-                |_| Ok(true),
-            )
-            .unwrap()
-            .expect("resumed run completes");
+        let resumed = resumable(&sim, &lazy, &config, snapshot_secs, Some(&snap), |_| {
+            Ok(true)
+        })
+        .unwrap()
+        .expect("resumed run completes");
         assert_eq!(
             format!("{reference:?}"),
             format!("{resumed:?}"),

@@ -2,6 +2,12 @@
 //! different seeds diverge. Reproducibility is what makes the experiment
 //! harness trustworthy.
 
+use faas_freedom::core::fleet::{
+    AdmissionPolicy, ControlConfig, ControllerConfig, FleetConfig, FleetReport, FleetSimulator,
+    NoopRecorder, PidConfig, PlacementStrategy, RightSizerConfig, StreamTrace, SupplyProcess,
+};
+use faas_freedom::core::market::MarketConfig;
+use faas_freedom::core::snapshot::ReplaySnapshot;
 use faas_freedom::optimizer::SearchSpace;
 use faas_freedom::prelude::*;
 
@@ -146,44 +152,38 @@ fn every_experiment_is_bit_identical_parallel_vs_sequential() {
     });
 }
 
-/// The windowed fleet replay must be bit-identical to the sequential
-/// reference engine on the 120-function heavy-tail fleet for every
-/// placement strategy, thread count, and window size — including window
-/// sizes small enough that in-flight placements routinely cross
-/// boundaries and supply steps land mid-window, so speculative windows
-/// really do get reconciled. Trace generation itself must not depend on
-/// how many threads generated the streams. `{:?}` formatting round-trips
-/// `f64`s exactly, so string equality is bit equality.
-#[test]
-fn fleet_windowed_replay_matches_sequential() {
-    use faas_freedom::core::fleet::{
-        AdmissionPolicy, FleetConfig, FleetSimulator, PlacementStrategy, SupplyProcess, TraceSource,
-    };
-    use faas_freedom::core::market::MarketConfig;
-    use freedom_experiments::fleet_simulation::synthetic_plans;
+// ---------------------------------------------------------------------
+// The fleet determinism lattice. Every row replays one scenario through
+// every entry point of the single replay engine — the materialized
+// `run` reference, the streaming `run_stream_traced`, an epoch-chained
+// `run_stream_resumable_traced`, and a resume from every epoch
+// boundary's snapshot — and demands the same `FleetReport`, bit for bit.
+// `{:?}` formatting round-trips `f64`s exactly, so string equality is
+// bit equality of every number in the report.
+// ---------------------------------------------------------------------
 
-    let n_functions = 120;
-    let duration = 300.0;
-    let source = TraceSource::HeavyTail {
-        mean_rps: 0.5,
-        alpha: 1.5,
-    };
-    let trace = source.generate(n_functions, duration, 11).unwrap();
-    let sharded_trace = source
-        .generate_sharded(n_functions, duration, 11, 8)
-        .unwrap();
-    assert_eq!(
-        trace.events(),
-        sharded_trace.events(),
-        "trace generation diverged across threads"
-    );
+/// Epoch length of the lattice's dense epoch chain: it slices every
+/// 15 s control epoch and most in-flight placements across boundaries,
+/// so carried ledger, retry, and controller state all get exercised.
+const DENSE_EPOCH_SECS: f64 = 1.0;
 
-    let plans = synthetic_plans(n_functions, 4).unwrap();
-    let sim = FleetSimulator::new(plans).unwrap();
-    // A scarce, fluctuating market under admission control: carry-over
-    // state, demotions, and policy rejections all cross window
-    // boundaries.
-    let config = FleetConfig {
+/// Epoch length of the lattice's kill-and-resume sweep.
+const RESUME_EPOCH_SECS: f64 = 60.0;
+
+/// The three controllers every row crosses with.
+fn controllers() -> [ControllerConfig; 3] {
+    [
+        ControllerConfig::Static,
+        ControllerConfig::HeadroomPid(PidConfig::default()),
+        ControllerConfig::SurrogateRightSizer(RightSizerConfig::default()),
+    ]
+}
+
+/// A scarce, fluctuating market under admission control and `controller`
+/// ticking every 15 s: carried in-flight state, demotions, policy
+/// rejections, and controller state all cross epoch boundaries.
+fn lattice_config(controller: ControllerConfig) -> FleetConfig {
+    FleetConfig {
         market: MarketConfig {
             vms_per_family: 3,
             supply: SupplyProcess {
@@ -196,259 +196,149 @@ fn fleet_windowed_replay_matches_sequential() {
             },
             ..MarketConfig::default()
         },
+        control: ControlConfig {
+            cadence_secs: 15.0,
+            controller,
+        },
         ..FleetConfig::default()
-    };
-    for strategy in PlacementStrategy::ALL {
-        let sequential = sim.run(&trace, strategy, &config).unwrap();
-        for threads in [1, 8] {
-            for window_secs in [1.0, 10.0, 60.0] {
-                let windowed = sim
-                    .run_windowed(&trace, strategy, &config, threads, window_secs)
-                    .unwrap();
-                assert_eq!(
-                    format!("{sequential:?}"),
-                    format!("{windowed:?}"),
-                    "{strategy:?} diverged at {threads} threads, {window_secs}s windows"
-                );
-            }
-        }
-    }
-
-    // The other workload shapes stress reconciliation differently
-    // (bursty and diurnal traffic drain the market and let speculation
-    // bulk-verify; steady Poisson keeps boundaries dense): every
-    // generator gets a windowed-vs-sequential bit-identity check too.
-    for (name, source) in freedom_experiments::fleet_simulation::trace_sources(duration) {
-        if name == "heavy_tail" {
-            continue; // covered exhaustively above
-        }
-        let trace = source.generate(n_functions, duration, 11).unwrap();
-        for strategy in PlacementStrategy::ALL {
-            let sequential = sim.run(&trace, strategy, &config).unwrap();
-            for window_secs in [10.0, 60.0] {
-                let windowed = sim
-                    .run_windowed(&trace, strategy, &config, 8, window_secs)
-                    .unwrap();
-                assert_eq!(
-                    format!("{sequential:?}"),
-                    format!("{windowed:?}"),
-                    "{name}/{strategy:?} diverged at {window_secs}s windows"
-                );
-            }
-        }
     }
 }
 
-/// The closed control loop must not break windowed determinism: with any
-/// controller evolving admission and placements mid-replay, the windowed
-/// engine stays bit-identical to the sequential reference for every
-/// thread count and window size — including 1 s windows that slice every
-/// 15 s control epoch across many boundaries, so carried controller
-/// state, partial observation epochs, and mid-window ticks all get
-/// exercised, and the right-sizer's surrogates are reconstructed from
-/// the carried observation log over and over.
-#[test]
-fn fleet_control_loop_is_windowed_bit_identical() {
-    use faas_freedom::core::fleet::{
-        AdmissionPolicy, ControlConfig, ControllerConfig, FleetConfig, FleetSimulator, PidConfig,
-        PlacementStrategy, RightSizerConfig, SupplyProcess, TraceSource,
-    };
-    use faas_freedom::core::market::MarketConfig;
-    use freedom_experiments::fleet_simulation::synthetic_plans;
+/// An uninterrupted resumable replay in epochs of `epoch_secs`; every
+/// boundary's snapshot is handed to `on_snapshot`.
+fn epoch_chained(
+    sim: &FleetSimulator,
+    lazy: &StreamTrace,
+    strategy: PlacementStrategy,
+    config: &FleetConfig,
+    epoch_secs: f64,
+    mut on_snapshot: impl FnMut(&ReplaySnapshot),
+) -> FleetReport {
+    sim.run_stream_resumable_traced(
+        lazy,
+        strategy,
+        config,
+        epoch_secs,
+        None,
+        &mut NoopRecorder,
+        |snap, _| {
+            on_snapshot(snap);
+            Ok(true)
+        },
+    )
+    .unwrap()
+    .expect("an uninterrupted run returns a report")
+}
 
-    let n_functions = 120;
-    let duration = 300.0;
-    let trace = TraceSource::HeavyTail {
-        mean_rps: 0.5,
-        alpha: 1.5,
-    }
-    .generate(n_functions, duration, 11)
-    .unwrap();
-    let plans = synthetic_plans(n_functions, 4).unwrap();
-    let sim = FleetSimulator::new(plans).unwrap();
-    for controller in [
-        ControllerConfig::Static,
-        ControllerConfig::HeadroomPid(PidConfig::default()),
-        ControllerConfig::SurrogateRightSizer(RightSizerConfig::default()),
-    ] {
-        let config = FleetConfig {
-            market: MarketConfig {
-                vms_per_family: 3,
-                supply: SupplyProcess {
-                    step_secs: 15.0,
-                    min_fraction: 0.3,
-                    seed: 21,
-                },
-                admission: AdmissionPolicy::Headroom {
-                    max_utilization: 0.85,
-                },
-                ..MarketConfig::default()
-            },
-            control: ControlConfig {
-                cadence_secs: 15.0,
-                controller,
-            },
-            ..FleetConfig::default()
-        };
-        let sequential = sim
-            .run(&trace, PlacementStrategy::IdleAware, &config)
-            .unwrap();
-        assert!(
-            !sequential.control.is_empty(),
-            "{controller:?} must tick over a 300 s trace"
+/// Asserts one lattice row: `lazy` replayed by the streaming engine, by
+/// a dense epoch chain, and killed-and-resumed at every
+/// [`RESUME_EPOCH_SECS`] boundary (each snapshot round-tripped through
+/// its wire format, like a restart) reproduces `reference` bit for bit.
+fn assert_lattice(
+    sim: &FleetSimulator,
+    lazy: &StreamTrace,
+    strategy: PlacementStrategy,
+    config: &FleetConfig,
+    reference: &FleetReport,
+    label: &str,
+) {
+    let reference = format!("{reference:?}");
+    let (streamed, stats) = sim
+        .run_stream_traced(lazy, strategy, config, &mut NoopRecorder)
+        .unwrap();
+    assert_eq!(
+        reference,
+        format!("{streamed:?}"),
+        "{label}: streaming diverged from materialized"
+    );
+    assert_eq!(stats.events, lazy.len(), "{label}: stream miscounted");
+    let dense = epoch_chained(sim, lazy, strategy, config, DENSE_EPOCH_SECS, |_| {});
+    assert_eq!(
+        reference,
+        format!("{dense:?}"),
+        "{label}: {DENSE_EPOCH_SECS}s epoch chain diverged"
+    );
+    let mut snapshots = Vec::new();
+    let chained = epoch_chained(sim, lazy, strategy, config, RESUME_EPOCH_SECS, |snap| {
+        snapshots.push(snap.to_bytes())
+    });
+    assert_eq!(
+        reference,
+        format!("{chained:?}"),
+        "{label}: {RESUME_EPOCH_SECS}s epoch chain diverged"
+    );
+    assert!(
+        !snapshots.is_empty(),
+        "{label}: no epoch boundary to resume"
+    );
+    for bytes in &snapshots {
+        let snap = ReplaySnapshot::from_bytes(bytes).unwrap();
+        let resumed = sim
+            .run_stream_resumable_traced(
+                lazy,
+                strategy,
+                config,
+                RESUME_EPOCH_SECS,
+                Some(&snap),
+                &mut NoopRecorder,
+                |_, _| Ok(true),
+            )
+            .unwrap()
+            .expect("a resumed run finishes");
+        assert_eq!(
+            reference,
+            format!("{resumed:?}"),
+            "{label}: resume from epoch {} diverged",
+            snap.epoch()
         );
-        for threads in [1, 8] {
-            for window_secs in [1.0, 10.0, 60.0] {
-                let windowed = sim
-                    .run_windowed(
-                        &trace,
-                        PlacementStrategy::IdleAware,
-                        &config,
-                        threads,
-                        window_secs,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    format!("{sequential:?}"),
-                    format!("{windowed:?}"),
-                    "{controller:?} diverged at {threads} threads, {window_secs}s windows"
-                );
-            }
-        }
     }
 }
 
-/// The streaming pipeline's acceptance guard: for every trace source —
-/// the four synthetic generators plus the Azure CSV fixture streamed
-/// through the chunked reader — and every controller, the streaming
-/// engines (`run_stream`, `run_stream_windowed`) replay bit-identically
-/// to the materialized reference at threads {1, 8} × windows
-/// {1, 10, 60} s. The 1 s windows make the epoch re-seek table dense
-/// (hundreds of cursor checkpoints) and slice every control epoch
-/// across many boundaries, so checkpoint rewind, carried controller
-/// state, and the CSV reader's lookahead window all get exercised
-/// together. On top of the default engine (timer wheel + checkpoint
-/// ladder), every (source, controller) pair also replays through the
-/// sorted-drain completion queue and through a config that forces the
-/// sequential exact-carry fallback, pinning both alternate code paths
-/// to the same bit-identity contract.
+/// The streaming pipeline's acceptance row: for every trace source —
+/// the four synthetic generators on the 120-function fleet plus the
+/// Azure CSV fixture streamed through the chunked reader — every
+/// controller, and every placement strategy, the lattice holds against
+/// the materialized reference. Trace generation itself must not depend
+/// on how many threads generated the streams.
 #[test]
 fn streaming_replay_is_bit_identical_for_every_source_and_controller() {
-    use faas_freedom::core::fleet::{
-        AdmissionPolicy, CompletionQueueKind, ControlConfig, ControllerConfig, FleetConfig,
-        FleetSimulator, PidConfig, PlacementStrategy, ReplayConfig, RightSizerConfig, StreamTrace,
-        SupplyProcess,
-    };
-    use faas_freedom::core::market::MarketConfig;
     use freedom_experiments::fleet_simulation::{synthetic_plans, trace_sources, AZURE_FIXTURE};
 
     let n_functions = 120;
     let duration = 300.0;
-    let mut traces: Vec<(&str, StreamTrace)> = trace_sources(duration)
-        .iter()
-        .map(|&(name, source)| {
-            (
-                name,
-                StreamTrace::generate_sharded(source, n_functions, duration, 11, 8).unwrap(),
-            )
-        })
-        .collect();
+    let mut traces: Vec<(&str, StreamTrace)> = Vec::new();
+    for (name, source) in trace_sources(duration) {
+        let lazy = StreamTrace::generate_sharded(source, n_functions, duration, 11, 8).unwrap();
+        assert_eq!(
+            source.generate(n_functions, duration, 11).unwrap().events(),
+            lazy.materialize().unwrap().events(),
+            "{name}: trace generation diverged across threads"
+        );
+        traces.push((name, lazy));
+    }
     traces.push(("azure", StreamTrace::from_csv(AZURE_FIXTURE).unwrap()));
 
     for (name, lazy) in &traces {
-        let plans = synthetic_plans(lazy.n_functions(), 4).unwrap();
-        let sim = FleetSimulator::new(plans).unwrap();
+        let sim = FleetSimulator::new(synthetic_plans(lazy.n_functions(), 4).unwrap()).unwrap();
         let full = lazy.materialize().unwrap();
         assert_eq!(lazy.len(), full.len(), "{name} scan miscounted");
-        for controller in [
-            ControllerConfig::Static,
-            ControllerConfig::HeadroomPid(PidConfig::default()),
-            ControllerConfig::SurrogateRightSizer(RightSizerConfig::default()),
-        ] {
-            let config = FleetConfig {
-                market: MarketConfig {
-                    vms_per_family: 3,
-                    supply: SupplyProcess {
-                        step_secs: 15.0,
-                        min_fraction: 0.3,
-                        seed: 21,
-                    },
-                    admission: AdmissionPolicy::Headroom {
-                        max_utilization: 0.85,
-                    },
-                    ..MarketConfig::default()
-                },
-                control: ControlConfig {
-                    cadence_secs: 15.0,
-                    controller,
-                },
-                ..FleetConfig::default()
-            };
-            let reference = sim
-                .run(&full, PlacementStrategy::IdleAware, &config)
-                .unwrap();
-            let streamed = sim
-                .run_stream(lazy, PlacementStrategy::IdleAware, &config)
-                .unwrap();
-            assert_eq!(
-                format!("{reference:?}"),
-                format!("{streamed:?}"),
-                "{name}/{controller:?}: streaming diverged from materialized"
-            );
-            for threads in [1, 8] {
-                for window_secs in [1.0, 10.0, 60.0] {
-                    let windowed = sim
-                        .run_stream_windowed(
-                            lazy,
-                            PlacementStrategy::IdleAware,
-                            &config,
-                            threads,
-                            window_secs,
-                        )
-                        .unwrap();
-                    assert_eq!(
-                        format!("{reference:?}"),
-                        format!("{windowed:?}"),
-                        "{name}/{controller:?} diverged at {threads} threads, \
-                         {window_secs}s windows"
+        for controller in controllers() {
+            let config = lattice_config(controller);
+            for strategy in PlacementStrategy::ALL {
+                let reference = sim.run(&full, strategy, &config).unwrap();
+                if strategy == PlacementStrategy::IdleAware {
+                    assert!(
+                        !reference.control.is_empty(),
+                        "{name}/{controller:?} must tick over the trace"
                     );
                 }
-            }
-            // The alternate engine paths: the sorted-drain completion
-            // queue (the timer wheel's fallback twin) and a config that
-            // disables speculation entirely, forcing the sequential
-            // exact-carry fallback through the checkpoint ladder.
-            for (label, replay) in [
-                (
-                    "sorted-drain",
-                    ReplayConfig {
-                        completion_queue: CompletionQueueKind::SortedDrain,
-                        ..ReplayConfig::default()
-                    },
-                ),
-                (
-                    "forced-fallback",
-                    ReplayConfig {
-                        max_speculative_rounds: 0,
-                        stall_margin: 0,
-                        ..ReplayConfig::default()
-                    },
-                ),
-            ] {
-                let windowed = sim
-                    .run_stream_windowed_with(
-                        lazy,
-                        PlacementStrategy::IdleAware,
-                        &config,
-                        &replay,
-                        8,
-                        10.0,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    format!("{reference:?}"),
-                    format!("{windowed:?}"),
-                    "{name}/{controller:?} diverged on the {label} replay path"
+                assert_lattice(
+                    &sim,
+                    lazy,
+                    strategy,
+                    &config,
+                    &reference,
+                    &format!("{name}/{controller:?}/{strategy:?}"),
                 );
             }
         }
@@ -457,67 +347,42 @@ fn streaming_replay_is_bit_identical_for_every_source_and_controller() {
 
 /// The failure-domain acceptance row: with fault injection enabled —
 /// zone outages, supply-shock bursts, and dropped notice deliveries over
-/// a three-zone market with preemption notices — the determinism lattice
-/// must keep holding. For two fault seeds and every controller, the
-/// streaming engines replay bit-identically to the materialized
-/// sequential reference at threads {1, 8} × windows {1, 60} s. Faults
-/// are precomputed simulated-time events, so nothing about injection may
-/// depend on which engine, thread, or window boundary observes it.
+/// a three-zone market with preemption notices — the lattice must keep
+/// holding for two fault seeds and every controller. Faults are
+/// precomputed simulated-time events, so nothing about injection may
+/// depend on which entry point or epoch boundary observes it.
 #[test]
 fn fault_injection_preserves_the_determinism_lattice() {
-    use faas_freedom::core::fleet::{
-        AdmissionPolicy, ControlConfig, ControllerConfig, FaultPlan, FleetConfig, FleetSimulator,
-        PidConfig, PlacementStrategy, RightSizerConfig, StreamTrace, SupplyProcess, TraceSource,
-        ZoneConfig,
-    };
-    use faas_freedom::core::market::MarketConfig;
+    use faas_freedom::core::fleet::{FaultPlan, TraceSource, ZoneConfig};
     use freedom_experiments::fleet_simulation::synthetic_plans;
 
     let n_functions = 120;
-    let duration = 300.0;
     let lazy = StreamTrace::generate_sharded(
         TraceSource::HeavyTail {
             mean_rps: 0.5,
             alpha: 1.5,
         },
         n_functions,
-        duration,
+        300.0,
         11,
         8,
     )
     .unwrap();
     let full = lazy.materialize().unwrap();
-    let plans = synthetic_plans(n_functions, 4).unwrap();
-    let sim = FleetSimulator::new(plans).unwrap();
+    let sim = FleetSimulator::new(synthetic_plans(n_functions, 4).unwrap()).unwrap();
 
     for fault_seed in [29, 31] {
-        for controller in [
-            ControllerConfig::Static,
-            ControllerConfig::HeadroomPid(PidConfig::default()),
-            ControllerConfig::SurrogateRightSizer(RightSizerConfig::default()),
-        ] {
+        for controller in controllers() {
+            let base = lattice_config(controller);
             let config = FleetConfig {
                 market: MarketConfig {
-                    vms_per_family: 3,
-                    supply: SupplyProcess {
-                        step_secs: 15.0,
-                        min_fraction: 0.3,
-                        seed: 21,
-                    },
                     zones: ZoneConfig {
                         n_zones: 3,
                         notice_secs: 5.0,
                         shock: 0.5,
                         migration_rebill: 0.5,
                     },
-                    admission: AdmissionPolicy::Headroom {
-                        max_utilization: 0.85,
-                    },
-                    ..MarketConfig::default()
-                },
-                control: ControlConfig {
-                    cadence_secs: 15.0,
-                    controller,
+                    ..base.market
                 },
                 faults: FaultPlan {
                     seed: fault_seed,
@@ -529,7 +394,7 @@ fn fault_injection_preserves_the_determinism_lattice() {
                     burst_severity: 0.5,
                     ..FaultPlan::NONE
                 },
-                ..FleetConfig::default()
+                ..base
             };
             let reference = sim
                 .run(&full, PlacementStrategy::IdleAware, &config)
@@ -541,33 +406,14 @@ fn fault_injection_preserves_the_determinism_lattice() {
                     && reference.migrated + reference.drained + reference.spot_demoted > 0,
                 "seed {fault_seed}/{controller:?}: inert fault plan: {reference:?}"
             );
-            let streamed = sim
-                .run_stream(&lazy, PlacementStrategy::IdleAware, &config)
-                .unwrap();
-            assert_eq!(
-                format!("{reference:?}"),
-                format!("{streamed:?}"),
-                "seed {fault_seed}/{controller:?}: streaming diverged from materialized"
+            assert_lattice(
+                &sim,
+                &lazy,
+                PlacementStrategy::IdleAware,
+                &config,
+                &reference,
+                &format!("seed {fault_seed}/{controller:?}"),
             );
-            for threads in [1, 8] {
-                for window_secs in [1.0, 60.0] {
-                    let windowed = sim
-                        .run_stream_windowed(
-                            &lazy,
-                            PlacementStrategy::IdleAware,
-                            &config,
-                            threads,
-                            window_secs,
-                        )
-                        .unwrap();
-                    assert_eq!(
-                        format!("{reference:?}"),
-                        format!("{windowed:?}"),
-                        "seed {fault_seed}/{controller:?} diverged at {threads} threads, \
-                         {window_secs}s windows"
-                    );
-                }
-            }
         }
     }
 }
@@ -575,69 +421,46 @@ fn fault_injection_preserves_the_determinism_lattice() {
 /// The retry acceptance row: with per-invocation transient faults
 /// (crash-on-start, mid-flight aborts, stragglers) and the full retry
 /// stack — seeded backoff, hedged re-issue, per-family budgets,
-/// brownout — layered on top of the zone-outage fault plan, the
-/// determinism lattice must keep holding. For two fault seeds and every
-/// controller, the streaming engines replay bit-identically to the
-/// materialized sequential reference at threads {1, 8} × windows
-/// {1, 60} s. Retries are ordinary simulated-time events (`completion <
-/// step < notice < retry < tick`), so nothing about scheduling a
-/// backoff, racing a hedge, or draining a budget may depend on which
-/// engine, thread, or window boundary observes it.
+/// brownout — layered on top of the zone-outage fault plan, the lattice
+/// must keep holding for two fault seeds and every controller. Retries
+/// are ordinary simulated-time events (`completion < step < notice <
+/// retry < tick`), and pending ones travel in the carry, so nothing
+/// about scheduling a backoff, racing a hedge, or draining a budget may
+/// depend on which entry point or epoch boundary observes it.
 #[test]
 fn retries_and_hedging_preserve_the_determinism_lattice() {
     use faas_freedom::core::fleet::{
-        AdmissionPolicy, BrownoutConfig, ControlConfig, ControllerConfig, FaultPlan, FleetConfig,
-        FleetSimulator, PidConfig, PlacementStrategy, RetryPolicy, RightSizerConfig, StreamTrace,
-        SupplyProcess, TraceSource, ZoneConfig,
+        BrownoutConfig, FaultPlan, RetryPolicy, TraceSource, ZoneConfig,
     };
-    use faas_freedom::core::market::MarketConfig;
     use freedom_experiments::fleet_simulation::synthetic_plans;
 
     let n_functions = 120;
-    let duration = 300.0;
     let lazy = StreamTrace::generate_sharded(
         TraceSource::HeavyTail {
             mean_rps: 0.5,
             alpha: 1.5,
         },
         n_functions,
-        duration,
+        300.0,
         11,
         8,
     )
     .unwrap();
     let full = lazy.materialize().unwrap();
-    let plans = synthetic_plans(n_functions, 4).unwrap();
-    let sim = FleetSimulator::new(plans).unwrap();
+    let sim = FleetSimulator::new(synthetic_plans(n_functions, 4).unwrap()).unwrap();
 
     for fault_seed in [29, 31] {
-        for controller in [
-            ControllerConfig::Static,
-            ControllerConfig::HeadroomPid(PidConfig::default()),
-            ControllerConfig::SurrogateRightSizer(RightSizerConfig::default()),
-        ] {
+        for controller in controllers() {
+            let base = lattice_config(controller);
             let config = FleetConfig {
                 market: MarketConfig {
-                    vms_per_family: 3,
-                    supply: SupplyProcess {
-                        step_secs: 15.0,
-                        min_fraction: 0.3,
-                        seed: 21,
-                    },
                     zones: ZoneConfig {
                         n_zones: 3,
                         notice_secs: 5.0,
                         shock: 0.5,
                         migration_rebill: 0.5,
                     },
-                    admission: AdmissionPolicy::Headroom {
-                        max_utilization: 0.85,
-                    },
-                    ..MarketConfig::default()
-                },
-                control: ControlConfig {
-                    cadence_secs: 15.0,
-                    controller,
+                    ..base.market
                 },
                 faults: FaultPlan {
                     seed: fault_seed,
@@ -664,7 +487,7 @@ fn retries_and_hedging_preserve_the_determinism_lattice() {
                     }),
                     ..RetryPolicy::DEFAULT
                 },
-                ..FleetConfig::default()
+                ..base
             };
             let reference = sim
                 .run(&full, PlacementStrategy::IdleAware, &config)
@@ -675,33 +498,14 @@ fn retries_and_hedging_preserve_the_determinism_lattice() {
                 reference.retried > 0,
                 "seed {fault_seed}/{controller:?}: inert retry plan: {reference:?}"
             );
-            let streamed = sim
-                .run_stream(&lazy, PlacementStrategy::IdleAware, &config)
-                .unwrap();
-            assert_eq!(
-                format!("{reference:?}"),
-                format!("{streamed:?}"),
-                "seed {fault_seed}/{controller:?}: streaming diverged from materialized"
+            assert_lattice(
+                &sim,
+                &lazy,
+                PlacementStrategy::IdleAware,
+                &config,
+                &reference,
+                &format!("seed {fault_seed}/{controller:?}"),
             );
-            for threads in [1, 8] {
-                for window_secs in [1.0, 60.0] {
-                    let windowed = sim
-                        .run_stream_windowed(
-                            &lazy,
-                            PlacementStrategy::IdleAware,
-                            &config,
-                            threads,
-                            window_secs,
-                        )
-                        .unwrap();
-                    assert_eq!(
-                        format!("{reference:?}"),
-                        format!("{windowed:?}"),
-                        "seed {fault_seed}/{controller:?} diverged at {threads} threads, \
-                         {window_secs}s windows"
-                    );
-                }
-            }
         }
     }
 }
@@ -763,19 +567,13 @@ fn interfaces_replay_identically() {
 
 /// The ingestion acceptance row: one trace served three ways — the
 /// materialized reference, a single plain CSV, and gzip'd multi-file
-/// parts split mid-minute with bounded seam disorder — must replay
-/// bit-identically for every controller at threads {1, 8} × windows
-/// {1, 60} s, and a crash/resume over the gz multi-file stream must
-/// reproduce the uninterrupted report. This is the lattice the
-/// week-scale bench leans on: streaming-over-gz ≡ streaming-over-plain
-/// ≡ materialized, regardless of how the bytes were sliced into files.
+/// parts split mid-minute with bounded seam disorder — must hold the
+/// lattice for every controller, crash/resume over the gz multi-file
+/// stream included. This is the lattice the week-scale bench leans on:
+/// streaming-over-gz ≡ streaming-over-plain ≡ materialized, regardless
+/// of how the bytes were sliced into files.
 #[test]
 fn gz_multi_file_ingestion_preserves_the_determinism_lattice() {
-    use faas_freedom::core::fleet::{
-        AdmissionPolicy, ControlConfig, ControllerConfig, FleetConfig, FleetSimulator, PidConfig,
-        PlacementStrategy, RightSizerConfig, StreamTrace, SupplyProcess,
-    };
-    use faas_freedom::core::market::MarketConfig;
     use freedom_experiments::fleet_simulation::synthetic_plans;
 
     // A 30-minute, 40-function trace with seeded counts; every function
@@ -841,185 +639,64 @@ fn gz_multi_file_ingestion_preserves_the_determinism_lattice() {
     let full = plain.materialize().unwrap();
 
     let sim = FleetSimulator::new(synthetic_plans(plain.n_functions(), 4).unwrap()).unwrap();
-    for controller in [
-        ControllerConfig::Static,
-        ControllerConfig::HeadroomPid(PidConfig::default()),
-        ControllerConfig::SurrogateRightSizer(RightSizerConfig::default()),
-    ] {
-        let config = FleetConfig {
-            market: MarketConfig {
-                vms_per_family: 3,
-                supply: SupplyProcess {
-                    step_secs: 15.0,
-                    min_fraction: 0.3,
-                    seed: 21,
-                },
-                admission: AdmissionPolicy::Headroom {
-                    max_utilization: 0.85,
-                },
-                ..MarketConfig::default()
-            },
-            control: ControlConfig {
-                cadence_secs: 15.0,
-                controller,
-            },
-            ..FleetConfig::default()
-        };
+    for controller in controllers() {
+        let config = lattice_config(controller);
         let reference = sim
             .run(&full, PlacementStrategy::IdleAware, &config)
             .unwrap();
         for (label, lazy) in [("plain", &plain), ("gz-multi", &gz)] {
-            let streamed = sim
-                .run_stream(lazy, PlacementStrategy::IdleAware, &config)
-                .unwrap();
-            assert_eq!(
-                format!("{reference:?}"),
-                format!("{streamed:?}"),
-                "{label}/{controller:?}: streaming diverged from materialized"
+            assert_lattice(
+                &sim,
+                lazy,
+                PlacementStrategy::IdleAware,
+                &config,
+                &reference,
+                &format!("{label}/{controller:?}"),
             );
-            for threads in [1, 8] {
-                for window_secs in [1.0, 60.0] {
-                    let windowed = sim
-                        .run_stream_windowed(
-                            lazy,
-                            PlacementStrategy::IdleAware,
-                            &config,
-                            threads,
-                            window_secs,
-                        )
-                        .unwrap();
-                    assert_eq!(
-                        format!("{reference:?}"),
-                        format!("{windowed:?}"),
-                        "{label}/{controller:?} diverged at {threads} threads, \
-                         {window_secs}s windows"
-                    );
-                }
-            }
         }
-
-        // Crash/resume over the gz multi-file stream: kill at a middle
-        // snapshot boundary, resume from the persisted state, and the
-        // stitched report must still match the materialized reference.
-        let snapshot_secs = 120.0;
-        let mut epochs = Vec::new();
-        let uninterrupted = sim
-            .run_stream_resumable(
-                &gz,
-                PlacementStrategy::IdleAware,
-                &config,
-                snapshot_secs,
-                None,
-                |s| {
-                    epochs.push(s.epoch());
-                    Ok(true)
-                },
-            )
-            .unwrap()
-            .expect("uninterrupted run completes");
-        assert_eq!(format!("{reference:?}"), format!("{uninterrupted:?}"));
-        assert!(epochs.len() >= 3, "want several boundaries, got {epochs:?}");
-        let kill_at = epochs[epochs.len() / 2];
-        let mut snap = None;
-        let crashed = sim
-            .run_stream_resumable(
-                &gz,
-                PlacementStrategy::IdleAware,
-                &config,
-                snapshot_secs,
-                None,
-                |s| {
-                    snap = Some(s.clone());
-                    Ok(s.epoch() < kill_at)
-                },
-            )
-            .unwrap();
-        assert!(crashed.is_none(), "the kill must abort the run");
-        let resumed = sim
-            .run_stream_resumable(
-                &gz,
-                PlacementStrategy::IdleAware,
-                &config,
-                snapshot_secs,
-                Some(snap.as_ref().unwrap()),
-                |_| Ok(true),
-            )
-            .unwrap()
-            .expect("resumed run completes");
-        assert_eq!(
-            format!("{reference:?}"),
-            format!("{resumed:?}"),
-            "resume over gz multi-file diverged from the uninterrupted replay"
-        );
     }
 }
 
 /// The observability acceptance row: attaching a live telemetry
 /// recorder must not move a single bit of the replay. For every
-/// controller, the streaming and windowed engines replay with
-/// `Telemetry` attached at threads {1, 8} × windows {1, 60} s and the
-/// `FleetReport` must be bit-identical to the recorder-free run of the
-/// same engine — telemetry is strictly observational. On top of the
-/// report identity, the counters the recorder collected are
-/// cross-checked against the report's own ledger (arrivals,
-/// policy rejections, capacity misses), and the windowed engine's
-/// counter set must be independent of the thread count: per-window
-/// recorder forks merge back in window order, so what was measured
-/// cannot depend on who measured it.
+/// controller, the streaming and the epoch-chained resumable entry
+/// points replay with `Telemetry` attached and the `FleetReport` must
+/// be bit-identical to the recorder-free run — telemetry is strictly
+/// observational. On top of the report identity, the counters the
+/// recorder collected are cross-checked against the report's own
+/// ledger (arrivals, policy rejections, capacity misses) and against
+/// the epoch structure (windows simulated, snapshots written).
 #[test]
 fn telemetry_recording_preserves_the_determinism_lattice() {
-    use faas_freedom::core::fleet::{
-        AdmissionPolicy, ControlConfig, ControllerConfig, FleetConfig, FleetSimulator, PidConfig,
-        PlacementStrategy, ReplayConfig, RightSizerConfig, StreamTrace, SupplyProcess, Telemetry,
-        TraceSource,
-    };
-    use faas_freedom::core::market::MarketConfig;
+    use faas_freedom::core::fleet::{Telemetry, TraceSource};
     use faas_freedom::core::telemetry::Counter;
     use freedom_experiments::fleet_simulation::synthetic_plans;
 
     let n_functions = 120;
-    let duration = 300.0;
     let lazy = StreamTrace::generate_sharded(
         TraceSource::HeavyTail {
             mean_rps: 0.5,
             alpha: 1.5,
         },
         n_functions,
-        duration,
+        300.0,
         11,
         8,
     )
     .unwrap();
     let sim = FleetSimulator::new(synthetic_plans(n_functions, 4).unwrap()).unwrap();
 
-    for controller in [
-        ControllerConfig::Static,
-        ControllerConfig::HeadroomPid(PidConfig::default()),
-        ControllerConfig::SurrogateRightSizer(RightSizerConfig::default()),
-    ] {
-        let config = FleetConfig {
-            market: MarketConfig {
-                vms_per_family: 3,
-                supply: SupplyProcess {
-                    step_secs: 15.0,
-                    min_fraction: 0.3,
-                    seed: 21,
-                },
-                admission: AdmissionPolicy::Headroom {
-                    max_utilization: 0.85,
-                },
-                ..MarketConfig::default()
-            },
-            control: ControlConfig {
-                cadence_secs: 15.0,
-                controller,
-            },
-            ..FleetConfig::default()
-        };
+    for controller in controllers() {
+        let config = lattice_config(controller);
 
-        // Sequential streaming engine: telemetry-off vs telemetry-on.
-        let off = sim
-            .run_stream(&lazy, PlacementStrategy::IdleAware, &config)
+        // Streaming entry point: telemetry-off vs telemetry-on.
+        let (off, _) = sim
+            .run_stream_traced(
+                &lazy,
+                PlacementStrategy::IdleAware,
+                &config,
+                &mut NoopRecorder,
+            )
             .unwrap();
         let mut tel = Telemetry::new();
         let (on, stats) = sim
@@ -1046,59 +723,36 @@ fn telemetry_recording_preserves_the_determinism_lattice() {
             tel.counter(Counter::ControllerTicks) > 0,
             "no controller ticks"
         );
+        assert_eq!(tel.counter(Counter::WindowsSimulated), 1);
 
-        // Windowed engine: telemetry-off vs telemetry-on at every
-        // lattice point, plus thread-count independence of the
-        // recorded counters.
-        for window_secs in [1.0, 60.0] {
-            let mut counters_by_threads = Vec::new();
-            for threads in [1, 8] {
-                let woff = sim
-                    .run_stream_windowed(
-                        &lazy,
-                        PlacementStrategy::IdleAware,
-                        &config,
-                        threads,
-                        window_secs,
-                    )
-                    .unwrap();
-                let mut wtel = Telemetry::new();
-                let (won, _) = sim
-                    .run_stream_windowed_traced(
-                        &lazy,
-                        PlacementStrategy::IdleAware,
-                        &config,
-                        &ReplayConfig::default(),
-                        threads,
-                        window_secs,
-                        &mut wtel,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    format!("{woff:?}"),
-                    format!("{won:?}"),
-                    "{controller:?}: a live recorder moved the windowed report \
-                     at {threads} threads, {window_secs}s windows"
-                );
-                assert_eq!(
-                    format!("{off:?}"),
-                    format!("{won:?}"),
-                    "{controller:?}: traced windowed diverged from sequential \
-                     at {threads} threads, {window_secs}s windows"
-                );
-                assert_eq!(wtel.counter(Counter::Arrivals), won.invocations as u64);
-                counters_by_threads.push(
-                    Counter::ALL
-                        .iter()
-                        .map(|&c| (c.name(), wtel.counter(c)))
-                        .collect::<Vec<_>>(),
-                );
-            }
+        // Resumable entry point with a live recorder at both lattice
+        // epoch lengths.
+        for epoch_secs in [DENSE_EPOCH_SECS, RESUME_EPOCH_SECS] {
+            let mut etel = Telemetry::new();
+            let mut boundaries = 0u64;
+            let traced = sim
+                .run_stream_resumable_traced(
+                    &lazy,
+                    PlacementStrategy::IdleAware,
+                    &config,
+                    epoch_secs,
+                    None,
+                    &mut etel,
+                    |_, _| {
+                        boundaries += 1;
+                        Ok(true)
+                    },
+                )
+                .unwrap()
+                .expect("an uninterrupted run returns a report");
             assert_eq!(
-                counters_by_threads[0], counters_by_threads[1],
-                "{controller:?}: recorded counters depend on the thread count \
-                 at {window_secs}s windows"
+                format!("{off:?}"),
+                format!("{traced:?}"),
+                "{controller:?}: a live recorder moved the {epoch_secs}s epoch chain"
             );
+            assert_eq!(etel.counter(Counter::Arrivals), traced.invocations as u64);
+            assert_eq!(etel.counter(Counter::SnapshotsWritten), boundaries);
+            assert_eq!(etel.counter(Counter::WindowsSimulated), boundaries + 1);
         }
     }
 }

@@ -335,7 +335,7 @@ impl ObsAccum {
         let policy_rejected = r.u32()?;
         let capacity_missed = r.u32()?;
         let retried = r.u32()?;
-        let n = r.len()?;
+        let n = r.len(4)?;
         let mut per_function = Vec::with_capacity(n);
         for _ in 0..n {
             per_function.push(r.u32()?);
@@ -522,10 +522,10 @@ impl ControlState {
         let integral = r.f64()?;
         let prev_error = r.f64()?;
         let load_log = |r: &mut crate::snapshot::Unwire| -> crate::Result<Vec<Vec<u8>>> {
-            let n = r.len()?;
+            let n = r.len(8)?;
             let mut log = Vec::with_capacity(n);
             for _ in 0..n {
-                let m = r.len()?;
+                let m = r.len(1)?;
                 let mut entries = Vec::with_capacity(m);
                 for _ in 0..m {
                     entries.push(r.u8()?);
@@ -537,13 +537,13 @@ impl ControlState {
         let observed = load_log(r)?;
         let observed_batches = load_log(r)?;
         let brownout = r.bool()?;
-        let n = r.len()?;
+        let n = r.len(1)?;
         let mut orders = Vec::with_capacity(n);
         for _ in 0..n {
             orders.push(match r.u8()? {
                 0 => None,
                 1 => {
-                    let m = r.len()?;
+                    let m = r.len(1)?;
                     let mut entries = Vec::with_capacity(m);
                     for _ in 0..m {
                         entries.push(r.u8()?);
@@ -662,6 +662,9 @@ pub struct ControlSample {
 }
 
 impl ControlSample {
+    /// Encoded size of one sample in a crash-resume snapshot.
+    pub(crate) const WIRE_BYTES: usize = 3 * 8 + 7 * 4 + 1;
+
     /// Serializes the sample into a crash-resume snapshot.
     pub(crate) fn save(&self, w: &mut crate::snapshot::Wire) {
         w.f64(self.at_secs);

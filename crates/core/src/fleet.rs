@@ -48,6 +48,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use freedom_faas::PerfTable;
 use freedom_linalg::stats;
@@ -238,11 +239,12 @@ impl FleetReport {
     }
 }
 
-/// Outcome class of one invocation, recorded per arrival and finalized
-/// at reduction: demotions and migrations overwrite the admission
-/// record (class and cost), a drain annotates the class only — and only
-/// while the record still reads `ADMITTED`, so a migrated placement that
-/// later drains keeps its migration bill.
+/// Outcome class of one invocation, recorded per arrival and final once
+/// the invocation is folded ([`Metering::adjust`]): demotions and
+/// migrations overwrite the admission record (class and cost), a drain
+/// annotates the class only — and only while the record still reads
+/// `ADMITTED`, so a migrated placement that later drains keeps its
+/// migration bill.
 const CLASS_ON_DEMAND: u8 = 0;
 const CLASS_CAPACITY_MISS: u8 = 1;
 const CLASS_ADMITTED: u8 = 2;
@@ -255,6 +257,8 @@ const CLASS_DRAINED: u8 = 6;
 /// records carry this class — a first attempt always lands in one of
 /// the classes above.
 const CLASS_DEAD_LETTERED: u8 = 7;
+/// Number of outcome-class codes.
+const N_CLASSES: usize = 8;
 
 /// [`RetryRecord`] flag bit: the activation was shed by brownout mode.
 const RETRY_FLAG_SHED: u8 = 1;
@@ -327,8 +331,8 @@ struct ReplayCtx {
 /// extend the per-invocation accounting: every activation lands in
 /// exactly one outcome class, and its inflation — always end-to-end,
 /// `(completion − arrival) / best_duration` — overrides the
-/// invocation's earlier (placeholder) inflation at reduction, last
-/// record wins.
+/// invocation's earlier (placeholder) inflation when the invocation is
+/// folded, last record wins.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RetryRecord {
     /// Global arrival index of the invocation retried.
@@ -351,7 +355,8 @@ pub(crate) struct RetryRecord {
 /// One hedged re-issue: an extra copy racing a straggler. Hedges carry
 /// cost (the race's loser still billed) but no outcome class — the
 /// invocation's class stays with the straggling attempt — and a winning
-/// hedge overrides the invocation's latency inflation at reduction.
+/// hedge overrides the invocation's latency inflation when the
+/// invocation is folded.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HedgeRecord {
     /// Global arrival index of the invocation hedged.
@@ -364,42 +369,230 @@ pub(crate) struct HedgeRecord {
     inflation_if_won: f64,
 }
 
-/// Per-arrival metering of one window, in arrival order, plus outcome
-/// adjustments keyed by global arrival index (a supply step may re-bill
-/// an invocation admitted in an earlier window) and the control-plane
-/// samples of the ticks the window processed. Per-invocation records —
-/// rather than window-local accumulators — are what make the final
-/// reduction's float-accumulation order independent of the epoch
-/// partition, and therefore bit-identical between an uninterrupted
-/// replay and one chained (or killed and resumed) epoch by epoch.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WindowMetering {
+/// Floor of the unfolded-tail size at which [`simulate_window`] folds
+/// behind the in-flight watermark: it folds once the tail doubles past
+/// its post-fold size, and never below this many records.
+const FOLD_FLOOR: usize = 1 << 16;
+
+/// Xor-shift-multiply hasher for the inflation value table's `f64`
+/// bit-pattern keys. Inflations like `1.0` or `1.25` have all-zero low
+/// mantissa bits, so the key's high half is folded down before the
+/// multiply and the product's well-mixed high half folded back into the
+/// low bits the table indexes with.
+#[derive(Clone, Copy, Default)]
+struct MulShift(u64);
+
+impl Hasher for MulShift {
+    fn finish(&self) -> u64 {
+        let h = (self.0 ^ (self.0 >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x;
+    }
+}
+
+/// The replay's metering, threaded through every window of one replay.
+///
+/// An invocation's records are *final* once its arrival index is below
+/// every live index — the completion heap's entries and the pending
+/// retry/hedge events — because every adjustment (drain, migrate,
+/// demote), retry record, and hedge record is produced while its
+/// invocation sits in one of those two sets. Final invocations are
+/// folded, in arrival order, into running accumulators that reproduce
+/// a whole-history reduction bit for bit: the cost sum and the
+/// inflation sum accumulate in the same sequence (so the partition into
+/// epochs and fold points cannot move a bit), and the p95 comes from an
+/// exact counted table of final inflation values. Only the tail from
+/// the watermark on stays per-invocation, so memory and snapshots are
+/// O(in-flight span + retries), not O(history).
+///
+/// Retry and hedge records keep their lists to the end: the report's
+/// cost adds Σ retries and then Σ hedges after the per-invocation sum,
+/// and a retry attempt can be re-billed by a later withdrawal.
+#[derive(Debug, Clone)]
+pub(crate) struct Metering {
+    /// Invocations `0..folded` are folded into the accumulators below.
+    folded: u32,
+    /// Σ final first-attempt costs, in arrival order from `+0.0`.
+    cost_sum: f64,
+    /// Σ final inflations, in arrival order from `-0.0` — exactly
+    /// `Iterator::sum`'s fold, so the mean matches `stats::mean`.
+    inflation_sum: f64,
+    /// Final first-attempt outcome classes of the folded invocations.
+    by_class: [u64; N_CLASSES],
+    /// Final inflation of every folded invocation, counted by `f64` bit
+    /// pattern. Plan-driven runs have a handful of distinct values;
+    /// stragglers and retries add one per affected invocation.
+    values: HashMap<u64, u64, BuildHasherDefault<MulShift>>,
+    /// The unfolded tail, invocations `folded..`, in arrival order:
+    /// billed cost, inflation, and class, with attempt-1 adjustments
+    /// applied as they happen.
     costs: Vec<f64>,
     inflations: Vec<f64>,
     classes: Vec<u8>,
-    /// `(global index, attempt, new class, re-billed cost)` — recorded
-    /// at the event that changed an outcome (a withdrawal step for
-    /// migrations/demotions, a completion under notice for drains; the
-    /// drain's cost field is ignored at reduction). Attempt 1 targets
-    /// the per-invocation record, attempts >= 2 the matching
-    /// [`RetryRecord`].
-    adjustments: Vec<(u32, u8, u8, f64)>,
-    /// Retry activations resolved this window, in resolution order.
+    /// Inflation overrides of unfolded invocations not yet applied, in
+    /// record order: one per retry record, one per won hedge. The fold
+    /// applies a final invocation's retry overrides before its hedge
+    /// ones — the chain's last activation defines the latency unless a
+    /// hedge beat the straggler.
+    retry_overrides: Vec<(u32, f64)>,
+    hedge_overrides: Vec<(u32, f64)>,
+    /// `(global index, attempt, new class, re-billed cost)` of outcome
+    /// changes to retry attempts (attempt >= 2), applied to the
+    /// matching [`RetryRecord`] at [`reduce`]; a drain's cost field is
+    /// ignored.
+    retry_adjustments: Vec<(u32, u8, u8, f64)>,
+    /// Retry activations, in resolution order.
     retries: Vec<RetryRecord>,
-    /// Hedged re-issues placed this window, in placement order.
+    /// Hedged re-issues, in placement order.
     hedges: Vec<HedgeRecord>,
     samples: Vec<ControlSample>,
-    /// In-flight placements notified this window (telemetry sum).
+    /// In-flight placements notified (telemetry sum).
     notified: u32,
 }
 
-impl WindowMetering {
-    /// Serializes the metering into a crash-resume snapshot: the
-    /// per-invocation records, outcome adjustments, and control samples
-    /// of everything simulated so far, floats as bit patterns.
+impl Default for Metering {
+    fn default() -> Self {
+        Self {
+            folded: 0,
+            cost_sum: 0.0,
+            inflation_sum: -0.0,
+            by_class: [0; N_CLASSES],
+            values: HashMap::default(),
+            costs: Vec::new(),
+            inflations: Vec::new(),
+            classes: Vec::new(),
+            retry_overrides: Vec::new(),
+            hedge_overrides: Vec::new(),
+            retry_adjustments: Vec::new(),
+            retries: Vec::new(),
+            hedges: Vec::new(),
+            samples: Vec::new(),
+            notified: 0,
+        }
+    }
+}
+
+impl Metering {
+    /// Invocations folded into the accumulators.
+    pub(crate) fn folded(&self) -> u64 {
+        u64::from(self.folded)
+    }
+
+    /// Control samples recorded so far (one per controller tick).
+    pub(crate) fn control_samples(&self) -> usize {
+        self.samples.len()
+    }
+
+    /// Records in the unfolded tail.
+    fn tail_len(&self) -> usize {
+        self.costs.len()
+    }
+
+    /// Appends the next arrival's first-attempt outcome.
+    #[inline]
+    fn record(&mut self, cost: f64, inflation: f64, class: u8) {
+        self.costs.push(cost);
+        self.inflations.push(inflation);
+        self.classes.push(class);
+    }
+
+    /// Applies an outcome change of attempt `attempt` of invocation
+    /// `idx`: migrations and demotions overwrite class and cost, a drain
+    /// annotates the class only — and only while it still reads
+    /// `ADMITTED`, so a migrated placement that later drains keeps its
+    /// migration bill. The invocation is live, so its record is in the
+    /// tail.
+    fn adjust(&mut self, idx: u32, attempt: u8, class: u8, cost: f64) {
+        if attempt > 1 {
+            self.retry_adjustments.push((idx, attempt, class, cost));
+            return;
+        }
+        let i = (idx - self.folded) as usize;
+        if class == CLASS_DRAINED {
+            if self.classes[i] == CLASS_ADMITTED {
+                self.classes[i] = CLASS_DRAINED;
+            }
+        } else {
+            self.costs[i] = cost;
+            self.classes[i] = class;
+        }
+    }
+
+    fn record_retry(&mut self, r: RetryRecord) {
+        self.retry_overrides.push((r.idx, r.inflation));
+        self.retries.push(r);
+    }
+
+    fn record_hedge(&mut self, h: HedgeRecord) {
+        if h.won {
+            self.hedge_overrides.push((h.idx, h.inflation_if_won));
+        }
+        self.hedges.push(h);
+    }
+
+    /// Folds invocations `folded..upto` — all final — into the
+    /// accumulators, in arrival order.
+    fn fold(&mut self, upto: u32) {
+        let base = self.folded;
+        let k = (upto - base) as usize;
+        if k == 0 {
+            return;
+        }
+        let inflations = &mut self.inflations;
+        for overrides in [&mut self.retry_overrides, &mut self.hedge_overrides] {
+            overrides.retain(|&(idx, inflation)| {
+                let fin = idx < upto;
+                if fin {
+                    inflations[(idx - base) as usize] = inflation;
+                }
+                !fin
+            });
+        }
+        let tail = self.costs[..k]
+            .iter()
+            .zip(&self.inflations[..k])
+            .zip(&self.classes[..k]);
+        for ((&cost, &inflation), &class) in tail {
+            self.cost_sum += cost;
+            self.inflation_sum += inflation;
+            self.by_class[usize::from(class)] += 1;
+            *self.values.entry(inflation.to_bits()).or_insert(0) += 1;
+        }
+        self.costs.drain(..k);
+        self.inflations.drain(..k);
+        self.classes.drain(..k);
+        self.folded = upto;
+    }
+
+    /// Serializes the metering into a crash-resume snapshot: the folded
+    /// accumulators (value table in key order), the unfolded tail, the
+    /// retry/hedge records, and the control samples, floats as bit
+    /// patterns. Snapshots are taken right after a fold, so the pending
+    /// overrides are exactly the retry and won-hedge records of the tail
+    /// and [`Metering::load`] rebuilds them instead of storing them.
     pub(crate) fn save(&self, w: &mut Wire) {
-        debug_assert_eq!(self.costs.len(), self.inflations.len());
-        debug_assert_eq!(self.costs.len(), self.classes.len());
+        w.u64(self.folded());
+        w.f64(self.cost_sum);
+        w.f64(self.inflation_sum);
+        for &c in &self.by_class {
+            w.u64(c);
+        }
+        let mut values: Vec<(u64, u64)> = self.values.iter().map(|(&b, &c)| (b, c)).collect();
+        values.sort_unstable();
+        w.len(values.len());
+        for (bits, count) in values {
+            w.u64(bits);
+            w.u64(count);
+        }
         w.len(self.costs.len());
         for &c in &self.costs {
             w.f64(c);
@@ -410,8 +603,8 @@ impl WindowMetering {
         for &c in &self.classes {
             w.u8(c);
         }
-        w.len(self.adjustments.len());
-        for &(idx, attempt, class, cost) in &self.adjustments {
+        w.len(self.retry_adjustments.len());
+        for &(idx, attempt, class, cost) in &self.retry_adjustments {
             w.u32(idx);
             w.u8(attempt);
             w.u8(class);
@@ -440,9 +633,41 @@ impl WindowMetering {
         w.u32(self.notified);
     }
 
-    /// Restores metering serialized with [`WindowMetering::save`].
-    pub(crate) fn load(r: &mut Unwire) -> Result<Self> {
-        let n = r.len()?;
+    /// Restores metering serialized with [`Metering::save`] for a prefix
+    /// of `events_consumed` arrivals, rejecting state no replay could
+    /// have produced with [`FreedomError::InvalidArgument`]: folded plus
+    /// tail invocations must equal `events_consumed`, the folded class
+    /// counts and value-table counts must each sum to the folded
+    /// invocations, the value table must be canonical (ascending keys,
+    /// non-zero counts), every class must be a valid code, and every
+    /// retry or hedge record must name a consumed invocation.
+    pub(crate) fn load(r: &mut Unwire, events_consumed: u64) -> Result<Self> {
+        let invalid = |what: &str| {
+            Err(FreedomError::InvalidArgument(format!(
+                "snapshot: inconsistent metering ({what})"
+            )))
+        };
+        let folded = r.u64()?;
+        let cost_sum = r.f64()?;
+        let inflation_sum = r.f64()?;
+        let mut by_class = [0u64; N_CLASSES];
+        for c in &mut by_class {
+            *c = r.u64()?;
+        }
+        let n_values = r.len(16)?;
+        let mut values = HashMap::with_capacity_and_hasher(n_values, Default::default());
+        let mut prev_bits = None;
+        for _ in 0..n_values {
+            let (bits, count) = (r.u64()?, r.u64()?);
+            // `save` writes each value once, in key order, with a
+            // non-zero count.
+            if prev_bits.is_some_and(|p| p >= bits) || count == 0 {
+                return invalid("value table not in canonical order");
+            }
+            prev_bits = Some(bits);
+            values.insert(bits, count);
+        }
+        let n = r.len(17)?;
         let mut costs = Vec::with_capacity(n);
         for _ in 0..n {
             costs.push(r.f64()?);
@@ -455,12 +680,12 @@ impl WindowMetering {
         for _ in 0..n {
             classes.push(r.u8()?);
         }
-        let n_adj = r.len()?;
-        let mut adjustments = Vec::with_capacity(n_adj);
+        let n_adj = r.len(14)?;
+        let mut retry_adjustments = Vec::with_capacity(n_adj);
         for _ in 0..n_adj {
-            adjustments.push((r.u32()?, r.u8()?, r.u8()?, r.f64()?));
+            retry_adjustments.push((r.u32()?, r.u8()?, r.u8()?, r.f64()?));
         }
-        let n_retries = r.len()?;
+        let n_retries = r.len(23)?;
         let mut retries = Vec::with_capacity(n_retries);
         for _ in 0..n_retries {
             retries.push(RetryRecord {
@@ -472,7 +697,7 @@ impl WindowMetering {
                 inflation: r.f64()?,
             });
         }
-        let n_hedges = r.len()?;
+        let n_hedges = r.len(21)?;
         let mut hedges = Vec::with_capacity(n_hedges);
         for _ in 0..n_hedges {
             hedges.push(HedgeRecord {
@@ -482,36 +707,73 @@ impl WindowMetering {
                 inflation_if_won: r.f64()?,
             });
         }
-        let n_samples = r.len()?;
+        let n_samples = r.len(ControlSample::WIRE_BYTES)?;
         let mut samples = Vec::with_capacity(n_samples);
         for _ in 0..n_samples {
             samples.push(ControlSample::load(r)?);
         }
         let notified = r.u32()?;
+
+        if folded.checked_add(n as u64) != Some(events_consumed) {
+            return invalid("folded + tail invocations != events consumed");
+        }
+        let Ok(folded) = u32::try_from(folded) else {
+            return invalid("folded invocations overflow the arrival index");
+        };
+        // Summed wide, so crafted counts cannot wrap into a match.
+        if by_class.iter().map(|&c| u128::from(c)).sum::<u128>() != u128::from(folded) {
+            return invalid("class counts do not sum to the folded invocations");
+        }
+        if values.values().map(|&c| u128::from(c)).sum::<u128>() != u128::from(folded) {
+            return invalid("value-table counts do not sum to the folded invocations");
+        }
+        if by_class[usize::from(CLASS_DEAD_LETTERED)] != 0
+            || classes.iter().any(|&c| c >= CLASS_DEAD_LETTERED)
+        {
+            return invalid("first-attempt class out of range");
+        }
+        if retries.iter().any(|r| usize::from(r.class) >= N_CLASSES)
+            || retry_adjustments
+                .iter()
+                .any(|a| usize::from(a.2) >= N_CLASSES)
+        {
+            return invalid("retry class out of range");
+        }
+        if retries
+            .iter()
+            .map(|r| r.idx)
+            .chain(hedges.iter().map(|h| h.idx))
+            .any(|i| u64::from(i) >= events_consumed)
+        {
+            return invalid("retry or hedge record of an unconsumed invocation");
+        }
+        let retry_overrides = retries
+            .iter()
+            .filter(|r| r.idx >= folded)
+            .map(|r| (r.idx, r.inflation))
+            .collect();
+        let hedge_overrides = hedges
+            .iter()
+            .filter(|h| h.won && h.idx >= folded)
+            .map(|h| (h.idx, h.inflation_if_won))
+            .collect();
         Ok(Self {
+            folded,
+            cost_sum,
+            inflation_sum,
+            by_class,
+            values,
             costs,
             inflations,
             classes,
-            adjustments,
+            retry_overrides,
+            hedge_overrides,
+            retry_adjustments,
             retries,
             hedges,
             samples,
             notified,
         })
-    }
-
-    /// Folds `other` onto the end of this metering. Concatenation is
-    /// exactly what [`reduce`] does across windows, so a folded prefix
-    /// reduces bit-identically to the window-by-window originals.
-    fn absorb(&mut self, other: &WindowMetering) {
-        self.costs.extend_from_slice(&other.costs);
-        self.inflations.extend_from_slice(&other.inflations);
-        self.classes.extend_from_slice(&other.classes);
-        self.adjustments.extend_from_slice(&other.adjustments);
-        self.retries.extend_from_slice(&other.retries);
-        self.hedges.extend_from_slice(&other.hedges);
-        self.samples.extend_from_slice(&other.samples);
-        self.notified += other.notified;
     }
 }
 
@@ -587,7 +849,7 @@ impl Carry {
 
     /// Restores a carry serialized with [`Carry::save`], field for field.
     pub(crate) fn load(r: &mut Unwire) -> Result<Self> {
-        let n = r.len()?;
+        let n = r.len(40)?;
         let mut inflight = Vec::with_capacity(n);
         for _ in 0..n {
             inflight.push(InFlight {
@@ -601,7 +863,7 @@ impl Carry {
                 list_cost_usd: r.f64()?,
             });
         }
-        let n_retries = r.len()?;
+        let n_retries = r.len(35)?;
         let mut retries = Vec::with_capacity(n_retries);
         for _ in 0..n_retries {
             retries.push(PendingRetry {
@@ -615,7 +877,7 @@ impl Carry {
                 orig_completion_nanos: r.u64()?,
             });
         }
-        let n_families = r.len()?;
+        let n_families = r.len(16)?;
         let mut tokens = Vec::with_capacity(n_families);
         for _ in 0..n_families {
             tokens.push(r.u64()?);
@@ -635,12 +897,17 @@ impl Carry {
             accum: ObsAccum::load(r)?,
         })
     }
+
+    /// Arrival indices of everything live across the boundary: in-flight
+    /// placements and pending retry/hedge events.
+    pub(crate) fn live_indices(&self) -> impl Iterator<Item = u32> + '_ {
+        let inflight = self.inflight.iter().map(|e| e.idx);
+        inflight.chain(self.retries.iter().map(|p| p.idx))
+    }
 }
 
-/// A window's result: metering plus the carried state crossing into the
-/// next window.
+/// A window's result: the carried state crossing into the next window.
 struct WindowOutcome {
-    metering: WindowMetering,
     carry_out: Carry,
     /// Most in-flight placements the completion heap ever held.
     peak_inflight: usize,
@@ -714,21 +981,22 @@ impl FleetSimulator {
             .unwrap_or(0);
         let ctx = self.prepare(trace.n_functions(), horizon, strategy, config)?;
         let events = trace.events();
-        let outcome = simulate_window(
+        let mut metering = Metering::default();
+        simulate_window(
             &ctx,
             events.iter().copied(),
-            events.len(),
             0,
             &Carry::initial(&ctx),
             0,
             u64::MAX,
             &mut NoopRecorder,
+            &mut metering,
         );
         Ok(reduce(
             strategy,
             config.slo_theta,
             events.len(),
-            outcome.metering,
+            metering,
             ctx.controller_label,
         ))
     }
@@ -753,15 +1021,16 @@ impl FleetSimulator {
     ) -> Result<(FleetReport, ReplayStats)> {
         let ctx = self.prepare(trace.n_functions(), trace.horizon_nanos(), strategy, config)?;
         let mut stream = trace.open()?;
+        let mut metering = Metering::default();
         let outcome = simulate_window(
             &ctx,
             stream.events(),
-            trace.len(),
             0,
             &Carry::initial(&ctx),
             0,
             u64::MAX,
             rec,
+            &mut metering,
         );
         rec.add(tel::Counter::WindowsSimulated, 1);
         let stats = ReplayStats {
@@ -773,7 +1042,7 @@ impl FleetSimulator {
             strategy,
             config.slo_theta,
             trace.len(),
-            outcome.metering,
+            metering,
             ctx.controller_label,
         );
         Ok((report, stats))
@@ -782,9 +1051,10 @@ impl FleetSimulator {
     /// Crash-resumable streaming replay: chains exact-carry windows of
     /// `snapshot_secs` sequentially and, at every window (epoch)
     /// boundary, hands `on_snapshot` a versioned [`ReplaySnapshot`] —
-    /// the stream checkpoint, the carried state, and the folded metering
-    /// prefix — together with the recorder, which is the natural hook
-    /// for emitting per-epoch JSONL metric snapshots
+    /// the stream checkpoint, the carried state, and the metering folded
+    /// behind the boundary's in-flight watermark — together with the
+    /// recorder, which is the natural hook for emitting per-epoch JSONL
+    /// metric snapshots
     /// ([`freedom_telemetry::Telemetry::jsonl_snapshot`]). Feeding a
     /// persisted snapshot back as `resume` replays only the remaining
     /// windows; the resulting report is **bit-identical** to
@@ -818,13 +1088,13 @@ impl FleetSimulator {
                 strategy,
                 config.slo_theta,
                 0,
-                WindowMetering::default(),
+                Metering::default(),
                 ctx.controller_label,
             )));
         }
         let fingerprint = replay_fingerprint(&ctx, strategy, config, trace.len(), window_nanos);
         let n = (horizon / window_nanos) as usize + 1;
-        let (mut k, mut carry, mut stream, mut prefix, mut consumed) = match resume {
+        let (mut k, mut carry, mut stream, mut metering, mut consumed) = match resume {
             Some(snap) => {
                 if snap.fingerprint != fingerprint {
                     return Err(FreedomError::InvalidArgument(
@@ -851,7 +1121,7 @@ impl FleetSimulator {
                 0,
                 Carry::initial(&ctx),
                 trace.open()?,
-                WindowMetering::default(),
+                Metering::default(),
                 0,
             ),
         };
@@ -867,18 +1137,27 @@ impl FleetSimulator {
                         None
                     }
                 });
-                simulate_window(&ctx, events, 0, consumed as u32, &carry, start, end, rec)
+                simulate_window(
+                    &ctx,
+                    events,
+                    consumed as u32,
+                    &carry,
+                    start,
+                    end,
+                    rec,
+                    &mut metering,
+                )
             };
             rec.add(tel::Counter::WindowsSimulated, 1);
             consumed += count;
             carry = outcome.carry_out;
-            prefix.absorb(&outcome.metering);
             k += 1;
             if k < n {
-                // Lend the running prefix to the snapshot rather than
-                // cloning it: it holds every per-invocation record so
-                // far, and a week-scale replay snapshots dozens of
-                // times over millions of events.
+                // Fold everything behind the boundary's watermark, so the
+                // snapshot carries accumulators plus the in-flight tail
+                // rather than the history; lend the metering to the
+                // snapshot instead of cloning it.
+                metering.fold(carry.live_indices().fold(consumed as u32, u32::min));
                 let snap = ReplaySnapshot {
                     version: SNAPSHOT_VERSION,
                     fingerprint,
@@ -887,7 +1166,7 @@ impl FleetSimulator {
                     events_consumed: consumed,
                     checkpoint: stream.checkpoint(),
                     carry: carry.clone(),
-                    metering: std::mem::take(&mut prefix),
+                    metering: std::mem::take(&mut metering),
                 };
                 let boundary = k as u64 * window_nanos;
                 rec.span_sim(tel::Span::SnapshotEpoch, boundary, boundary, k as u64);
@@ -895,7 +1174,7 @@ impl FleetSimulator {
                 let snap_wall = rec.now_nanos();
                 let keep_going = on_snapshot(&snap, rec)?;
                 rec.span_wall(tel::Span::SnapshotEpoch, snap_wall, k as u64);
-                prefix = snap.metering;
+                metering = snap.metering;
                 if !keep_going {
                     return Ok(None);
                 }
@@ -906,7 +1185,7 @@ impl FleetSimulator {
             strategy,
             config.slo_theta,
             trace.len(),
-            prefix,
+            metering,
             ctx.controller_label,
         )))
     }
@@ -1066,7 +1345,8 @@ struct WindowSim<'a, R: Recorder> {
     control: ControlState,
     accum: ObsAccum,
     scratch: ControlScratch,
-    m: WindowMetering,
+    /// The replay's running metering, threaded through every window.
+    m: &'a mut Metering,
 }
 
 impl<R: Recorder> WindowSim<'_, R> {
@@ -1208,9 +1488,7 @@ impl<R: Recorder> WindowSim<'_, R> {
                 // Completed under notice: the drain window saved it
                 // from the announced withdrawal.
                 self.rec.add(tel::Counter::Drained, 1);
-                self.m
-                    .adjustments
-                    .push((e.idx, e.attempt(), CLASS_DRAINED, 0.0));
+                self.m.adjust(e.idx, e.attempt(), CLASS_DRAINED, 0.0);
             }
             self.ledger.release(&e);
         } else {
@@ -1244,19 +1522,18 @@ impl<R: Recorder> WindowSim<'_, R> {
                     self.peak_inflight = self.peak_inflight.max(self.queue.len());
                     self.accum.migrated += 1;
                     self.rec.add(tel::Counter::Migrated, 1);
-                    self.m.adjustments.push((
+                    self.m.adjust(
                         e.idx,
                         e.attempt(),
                         CLASS_MIGRATED,
                         e.list_cost_usd * ctx.market.zones.migration_rebill,
-                    ));
+                    );
                 }
                 None => {
                     self.accum.spot_demoted += 1;
                     self.rec.add(tel::Counter::SpotDemoted, 1);
                     self.m
-                        .adjustments
-                        .push((e.idx, e.attempt(), CLASS_DEMOTED, e.list_cost_usd));
+                        .adjust(e.idx, e.attempt(), CLASS_DEMOTED, e.list_cost_usd);
                 }
             }
         }
@@ -1443,9 +1720,7 @@ impl<R: Recorder> WindowSim<'_, R> {
                 self.rec.observe(tel::Hist::AdmissionNanos, dt);
             }
         }
-        self.m.costs.push(cost);
-        self.m.inflations.push(inflation);
-        self.m.classes.push(class);
+        self.m.record(cost, inflation, class);
     }
 
     /// Executes one placed attempt: draws the attempt's transient fault,
@@ -1483,7 +1758,7 @@ impl<R: Recorder> WindowSim<'_, R> {
             // Crashed before starting: no slot consumed, nothing
             // billed; the retry re-enters admission after backoff. The
             // relative inflation is a placeholder — the retry chain's
-            // final record overrides it at reduction.
+            // final record overrides it when the invocation is folded.
             self.schedule_or_deadletter(
                 at,
                 idx,
@@ -1810,7 +2085,7 @@ impl<R: Recorder> WindowSim<'_, R> {
             self.rec.add(tel::Counter::HedgeWins, 1);
         }
         let best_d = ctx.best_duration_nanos[function] as f64;
-        self.m.hedges.push(HedgeRecord {
+        self.m.record_hedge(HedgeRecord {
             idx: p.idx,
             won,
             cost_usd: alt.list_cost_usd * ctx.market.spot.demand_fraction(utilization),
@@ -1832,7 +2107,17 @@ impl<R: Recorder> WindowSim<'_, R> {
                 self.rec.add(tel::Counter::ShedRetries, 1);
             }
         }
-        self.m.retries.push(r);
+        self.m.record_retry(r);
+    }
+
+    /// The lowest arrival index still live — in the completion heap or
+    /// a pending retry/hedge event — or `next_idx` when nothing is:
+    /// every invocation below it is final.
+    fn watermark(&self, next_idx: u32) -> u32 {
+        let inflight = self.queue.iter().map(|e| e.0.idx);
+        inflight
+            .chain(self.retries.iter().map(|p| p.0.idx))
+            .fold(next_idx, u32::min)
     }
 }
 
@@ -1893,19 +2178,22 @@ fn replay_fingerprint(
 /// event stream against the shared market, starting from the carried
 /// state (in-flight ledger, controller, partial epoch). Events arrive
 /// through an iterator and are consumed exactly once — a materialized
-/// slice and a lazy cursor merge replay identically. `n_events` is the
-/// metering pre-size hint. An uninterrupted replay is the degenerate
-/// call: all events, the initial carry, an unbounded window.
+/// slice and a lazy cursor merge replay identically. Outcomes land in
+/// the replay's running metering `m`, which the window folds behind the
+/// in-flight watermark whenever its unfolded tail doubles, so memory is
+/// bounded by the in-flight span rather than the window's length. An
+/// uninterrupted replay is the degenerate call: all events, the initial
+/// carry, an unbounded window.
 #[allow(clippy::too_many_arguments)]
 fn simulate_window<R: Recorder>(
     ctx: &ReplayCtx,
     events: impl Iterator<Item = TraceEvent>,
-    n_events: usize,
     base_idx: u32,
     carry_in: &Carry,
     start_nanos: u64,
     end_nanos: u64,
     rec: &mut R,
+    m: &mut Metering,
 ) -> WindowOutcome {
     let window_wall = rec.now_nanos();
     let start = ctx.schedule.start_state(start_nanos);
@@ -1943,23 +2231,21 @@ fn simulate_window<R: Recorder>(
         control: carry_in.control.clone(),
         accum: carry_in.accum.clone(),
         scratch: ControlScratch::default(),
-        m: WindowMetering {
-            costs: Vec::with_capacity(n_events),
-            inflations: Vec::with_capacity(n_events),
-            classes: Vec::with_capacity(n_events),
-            adjustments: Vec::new(),
-            retries: Vec::new(),
-            hedges: Vec::new(),
-            samples: Vec::new(),
-            notified: 0,
-        },
+        m,
     };
     sim.next_break = sim.compute_next_break();
 
+    let mut fold_at = (2 * sim.m.tail_len()).max(FOLD_FLOOR);
     for (i, event) in events.enumerate() {
         let at = event_nanos(event.at_secs);
         sim.advance(at);
-        sim.arrival(event.function, base_idx + i as u32, at);
+        let idx = base_idx + i as u32;
+        sim.arrival(event.function, idx, at);
+        if sim.m.tail_len() >= fold_at {
+            let watermark = sim.watermark(idx + 1);
+            sim.m.fold(watermark);
+            fold_at = (2 * sim.m.tail_len()).max(FOLD_FLOOR);
+        }
     }
 
     // Close the window: completions, supply steps, and ticks strictly
@@ -1999,7 +2285,6 @@ fn simulate_window<R: Recorder>(
     let mut pending: Vec<PendingRetry> = sim.retries.into_iter().map(|Reverse(p)| p).collect();
     pending.sort();
     WindowOutcome {
-        metering: sim.m,
         carry_out: Carry {
             inflight,
             retries: pending,
@@ -2011,54 +2296,45 @@ fn simulate_window<R: Recorder>(
     }
 }
 
-/// Reduces a replay's metering into the fleet report. Per-invocation
-/// records sit in global arrival order (a resumable replay absorbs its
-/// epochs' metering in order), outcome adjustments apply by global
-/// index, and every float accumulation then runs in arrival order — the
-/// same sequence however many epochs produced the records, which is what
-/// makes every entry point bit-identical. The metering is consumed: at
-/// week scale its arrays hold tens of millions of records, and copying
-/// them would dominate the reduction.
+/// Reduces a replay's metering into the fleet report: folds the rest of
+/// the tail (every invocation is final once the replay ends), re-bills
+/// retry records by their adjustments, then adds Σ retries and Σ hedges
+/// onto the arrival-order cost sum in record order. The fold's order
+/// never depends on how many epochs or fold points produced it, which is
+/// what makes every entry point bit-identical.
 fn reduce(
     strategy: PlacementStrategy,
     slo_theta: f64,
     invocations: usize,
-    metering: WindowMetering,
+    mut metering: Metering,
     controller: &'static str,
 ) -> FleetReport {
-    let WindowMetering {
-        mut costs,
-        mut inflations,
-        mut classes,
-        adjustments,
+    debug_assert_eq!(
+        metering.folded() as usize + metering.tail_len(),
+        invocations
+    );
+    metering.fold(invocations as u32);
+    let Metering {
+        cost_sum,
+        inflation_sum,
+        mut by_class,
+        values,
+        retry_adjustments,
         mut retries,
         hedges,
         samples: control,
         notified,
+        ..
     } = metering;
-    debug_assert_eq!(costs.len(), invocations);
-    // Adjustments on attempt 1 target the per-invocation arrays;
-    // attempts >= 2 target the matching retry record (a later window
-    // may re-bill a retry placed in an earlier one).
+    // Adjustments on attempts >= 2 target the matching retry record (a
+    // later window may re-bill a retry placed in an earlier one).
     let retry_pos: HashMap<(u32, u8), usize> = retries
         .iter()
         .enumerate()
         .map(|(i, r)| ((r.idx, r.attempt), i))
         .collect();
-    for &(idx, attempt, class, cost) in &adjustments {
-        if attempt <= 1 {
-            if class == CLASS_DRAINED {
-                // A drain annotates an undisturbed admission; a
-                // migrated placement that later drains keeps its
-                // migration record and bill.
-                if classes[idx as usize] == CLASS_ADMITTED {
-                    classes[idx as usize] = CLASS_DRAINED;
-                }
-            } else {
-                costs[idx as usize] = cost;
-                classes[idx as usize] = class;
-            }
-        } else if let Some(&at) = retry_pos.get(&(idx, attempt)) {
+    for &(idx, attempt, class, cost) in &retry_adjustments {
+        if let Some(&at) = retry_pos.get(&(idx, attempt)) {
             let r = &mut retries[at];
             if class == CLASS_DRAINED {
                 if r.class == CLASS_ADMITTED {
@@ -2070,69 +2346,56 @@ fn reduce(
             }
         }
     }
-    // A retry chain's records override the invocation's inflation in
-    // resolution order (the last activation is the one that defines the
-    // end-to-end latency); a winning hedge overrides last of all (the
-    // race resolves after the straggling chain terminated).
-    for r in &retries {
-        inflations[r.idx as usize] = r.inflation;
-    }
-    for h in &hedges {
-        if h.won {
-            inflations[h.idx as usize] = h.inflation_if_won;
-        }
-    }
-    let mut total_cost = 0.0;
-    for &c in &costs {
-        total_cost += c;
-    }
+    // Retry records extend the partition: every activation contributes
+    // exactly one class, so the by-class sum is `invocations + retried`.
+    let mut total_cost = cost_sum;
     for r in &retries {
         total_cost += r.cost_usd;
+        by_class[usize::from(r.class)] += 1;
     }
     for h in &hedges {
         total_cost += h.cost_usd;
     }
-    // One pass over the class arrays instead of one filter pass per
-    // outcome class. Retry records extend the partition: every
-    // activation contributes exactly one class, so the by-class sum is
-    // `invocations + retried`.
-    let mut by_class = [0usize; 256];
-    for &c in &classes {
-        by_class[c as usize] += 1;
-    }
-    for r in &retries {
-        by_class[r.class as usize] += 1;
-    }
+    let mut values: Vec<(f64, u64)> = values
+        .into_iter()
+        .map(|(bits, count)| (f64::from_bits(bits), count))
+        .collect();
+    values.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
     let threshold = 1.0 + slo_theta;
-    let slo_violations = inflations.iter().filter(|&&x| x > threshold).count();
-    let mean_latency_inflation = stats::mean(&inflations).unwrap_or(1.0);
-    // Selection, not a sort: `inflations`' order is disposable here, and
-    // the full sort is the week-scale replay's single largest cost.
-    let p95_latency_inflation = stats::quantile_in_place(&mut inflations, 0.95).unwrap_or(1.0);
+    let slo_violations: u64 = values
+        .iter()
+        .filter(|&&(x, _)| x > threshold)
+        .map(|&(_, count)| count)
+        .sum();
+    let mean_latency_inflation = if invocations == 0 {
+        1.0
+    } else {
+        inflation_sum / invocations as f64
+    };
+    let p95_latency_inflation = stats::quantile_counted(&values, 0.95).unwrap_or(1.0);
+    let count = |class: u8| by_class[usize::from(class)] as usize;
     FleetReport {
         strategy,
         invocations,
         total_cost_usd: total_cost,
         mean_latency_inflation,
         p95_latency_inflation,
-        spot_admitted: by_class[CLASS_ADMITTED as usize],
-        drained: by_class[CLASS_DRAINED as usize],
-        migrated: by_class[CLASS_MIGRATED as usize],
-        spot_demoted: by_class[CLASS_DEMOTED as usize],
+        spot_admitted: count(CLASS_ADMITTED),
+        drained: count(CLASS_DRAINED),
+        migrated: count(CLASS_MIGRATED),
+        spot_demoted: count(CLASS_DEMOTED),
         notified: notified as usize,
-        rejected: by_class[CLASS_ON_DEMAND as usize]
-            + by_class[CLASS_CAPACITY_MISS as usize]
-            + by_class[CLASS_POLICY_REJECT as usize],
+        rejected: count(CLASS_ON_DEMAND) + count(CLASS_CAPACITY_MISS) + count(CLASS_POLICY_REJECT),
         retried: retries.len(),
         hedge_wins: hedges.iter().filter(|h| h.won).count(),
-        dead_lettered: by_class[CLASS_DEAD_LETTERED as usize],
+        dead_lettered: count(CLASS_DEAD_LETTERED),
         shed_retries: retries
             .iter()
             .filter(|r| r.flags & RETRY_FLAG_SHED != 0)
             .count(),
-        policy_rejections: by_class[CLASS_POLICY_REJECT as usize],
-        capacity_misses: by_class[CLASS_CAPACITY_MISS as usize],
-        slo_violations,
+        policy_rejections: count(CLASS_POLICY_REJECT),
+        capacity_misses: count(CLASS_CAPACITY_MISS),
+        slo_violations: slo_violations as usize,
         controller,
         control,
     }
@@ -2220,6 +2483,190 @@ mod tests {
             |_, _| Ok(true),
         )?;
         Ok(out.expect("an uninterrupted run returns a report"))
+    }
+
+    /// The whole-history reduction the watermark fold replaces: every
+    /// record kept to the end, adjustments applied by index, retry
+    /// overrides then won-hedge overrides, floats summed in arrival
+    /// order, an exact sorted quantile.
+    fn reduce_whole_history(
+        slo_theta: f64,
+        mut costs: Vec<f64>,
+        mut inflations: Vec<f64>,
+        mut classes: Vec<u8>,
+        adjustments: &[(u32, u8, u8, f64)],
+        mut retries: Vec<RetryRecord>,
+        hedges: &[HedgeRecord],
+    ) -> FleetReport {
+        let apply = |class: &mut u8, cost: &mut f64, new_class: u8, new_cost: f64| {
+            if new_class == CLASS_DRAINED {
+                if *class == CLASS_ADMITTED {
+                    *class = CLASS_DRAINED;
+                }
+            } else {
+                *cost = new_cost;
+                *class = new_class;
+            }
+        };
+        for &(idx, attempt, class, cost) in adjustments {
+            if attempt <= 1 {
+                let i = idx as usize;
+                apply(&mut classes[i], &mut costs[i], class, cost);
+            } else if let Some(r) = retries
+                .iter_mut()
+                .find(|r| (r.idx, r.attempt) == (idx, attempt))
+            {
+                apply(&mut r.class, &mut r.cost_usd, class, cost);
+            }
+        }
+        for r in &retries {
+            inflations[r.idx as usize] = r.inflation;
+        }
+        for h in hedges.iter().filter(|h| h.won) {
+            inflations[h.idx as usize] = h.inflation_if_won;
+        }
+        let mut total_cost = 0.0;
+        for c in costs.iter().chain(retries.iter().map(|r| &r.cost_usd)) {
+            total_cost += c;
+        }
+        for h in hedges {
+            total_cost += h.cost_usd;
+        }
+        let mut by_class = [0usize; N_CLASSES];
+        for c in classes.iter().chain(retries.iter().map(|r| &r.class)) {
+            by_class[usize::from(*c)] += 1;
+        }
+        FleetReport {
+            strategy: PlacementStrategy::IdleAware,
+            invocations: costs.len(),
+            total_cost_usd: total_cost,
+            mean_latency_inflation: stats::mean(&inflations).unwrap_or(1.0),
+            p95_latency_inflation: stats::quantile(&inflations, 0.95).unwrap_or(1.0),
+            spot_admitted: by_class[usize::from(CLASS_ADMITTED)],
+            drained: by_class[usize::from(CLASS_DRAINED)],
+            migrated: by_class[usize::from(CLASS_MIGRATED)],
+            spot_demoted: by_class[usize::from(CLASS_DEMOTED)],
+            notified: 0,
+            rejected: by_class[usize::from(CLASS_ON_DEMAND)]
+                + by_class[usize::from(CLASS_CAPACITY_MISS)]
+                + by_class[usize::from(CLASS_POLICY_REJECT)],
+            retried: retries.len(),
+            hedge_wins: hedges.iter().filter(|h| h.won).count(),
+            dead_lettered: by_class[usize::from(CLASS_DEAD_LETTERED)],
+            shed_retries: retries
+                .iter()
+                .filter(|r| r.flags & RETRY_FLAG_SHED != 0)
+                .count(),
+            policy_rejections: by_class[usize::from(CLASS_POLICY_REJECT)],
+            capacity_misses: by_class[usize::from(CLASS_CAPACITY_MISS)],
+            slo_violations: inflations.iter().filter(|&&x| x > 1.0 + slo_theta).count(),
+            controller: "static",
+            control: Vec::new(),
+        }
+    }
+
+    /// Seeded random metering — adjustments, retry and hedge records
+    /// landing on invocations in any order while they are live — folded
+    /// at random watermarks and round-tripped through the snapshot wire
+    /// format at some of them, must reduce bit-identically to the
+    /// whole-history reduction.
+    #[test]
+    fn watermark_fold_matches_whole_history_reduction() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut rand = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        const LAG: u32 = 12;
+        let mut m = Metering::default();
+        let (mut costs, mut inflations, mut classes) = (Vec::new(), Vec::new(), Vec::new());
+        let mut adjustments = Vec::new();
+        let mut retries: Vec<RetryRecord> = Vec::new();
+        let mut hedges = Vec::new();
+        let mut attempts: Vec<u8> = Vec::new();
+        for i in 0..4000u32 {
+            // Inflations from a small value set (plan-driven) plus
+            // continuous stragglers, costs at arbitrary bit patterns.
+            let inflation = if rand(8) == 0 {
+                1.0 + rand(1000) as f64 / 997.0
+            } else {
+                [1.0, 1.05, 1.12, 1.3][rand(4) as usize]
+            };
+            let (cost, class) = (rand(1 << 20) as f64 * 1e-9, rand(7) as u8);
+            m.record(cost, inflation, class);
+            costs.push(cost);
+            inflations.push(inflation);
+            classes.push(class);
+            attempts.push(1);
+            for _ in 0..rand(4) {
+                let lo = m.folded.max(i.saturating_sub(LAG));
+                let j = lo + rand(u64::from(i - lo + 1)) as u32;
+                let a = &mut attempts[j as usize];
+                match rand(4) {
+                    0 => {
+                        let adj = (
+                            j,
+                            1 + rand(u64::from(*a)) as u8,
+                            [CLASS_MIGRATED, CLASS_DEMOTED, CLASS_DRAINED][rand(3) as usize],
+                            rand(1 << 20) as f64 * 1e-9,
+                        );
+                        m.adjust(adj.0, adj.1, adj.2, adj.3);
+                        adjustments.push(adj);
+                    }
+                    1 | 2 => {
+                        *a += 1;
+                        let r = RetryRecord {
+                            idx: j,
+                            attempt: *a,
+                            class: [CLASS_ADMITTED, CLASS_ON_DEMAND, CLASS_DEAD_LETTERED]
+                                [rand(3) as usize],
+                            flags: rand(2) as u8,
+                            cost_usd: rand(1 << 20) as f64 * 1e-9,
+                            inflation: 1.0 + rand(5000) as f64 / 1009.0,
+                        };
+                        m.record_retry(r);
+                        retries.push(r);
+                    }
+                    _ => {
+                        let h = HedgeRecord {
+                            idx: j,
+                            won: rand(2) == 0,
+                            cost_usd: rand(1 << 20) as f64 * 1e-9,
+                            inflation_if_won: 1.0 + rand(5000) as f64 / 1013.0,
+                        };
+                        m.record_hedge(h);
+                        hedges.push(h);
+                    }
+                }
+            }
+            if rand(50) == 0 {
+                let lo = m.folded.max(i.saturating_sub(LAG));
+                m.fold(lo + rand(u64::from(i + 1 - lo) + 1) as u32);
+                if rand(2) == 0 {
+                    let mut w = Wire::new();
+                    m.save(&mut w);
+                    let bytes = w.into_bytes();
+                    let mut r = Unwire::new(&bytes);
+                    m = Metering::load(&mut r, u64::from(i) + 1).unwrap();
+                    r.finish().unwrap();
+                }
+            }
+        }
+        let n = costs.len();
+        let want = reduce_whole_history(
+            0.1,
+            costs,
+            inflations,
+            classes,
+            &adjustments,
+            retries,
+            &hedges,
+        );
+        let got = reduce(PlacementStrategy::IdleAware, 0.1, n, m, "static");
+        assert!(want.retried > 1000 && want.hedge_wins > 500, "{want:?}");
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 
     #[test]

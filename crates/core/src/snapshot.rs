@@ -5,11 +5,16 @@
 //! a [`ReplaySnapshot`]: the trace stream's resumable position
 //! ([`crate::stream::StreamCheckpoint`]), the carried simulation state
 //! (in-flight ledger, controller state, partial observation epoch), and
-//! the concatenated per-invocation metering prefix. Feeding the
-//! snapshot back as the `resume` argument replays the remaining windows
-//! and produces a [`crate::fleet::FleetReport`] **bit-identical** to an
-//! uninterrupted run — kill the process at any epoch, reload the last
-//! snapshot, and the report cannot tell.
+//! the replay's metering folded behind the boundary's in-flight
+//! watermark: running accumulators for every final invocation, the
+//! per-invocation tail of the still-live ones, the retry/hedge records,
+//! and the control samples. A snapshot is therefore O(functions +
+//! in-flight + retries + ticks) — its size does not grow with the
+//! number of invocations replayed. Feeding the snapshot back as the
+//! `resume` argument replays the remaining windows and produces a
+//! [`crate::fleet::FleetReport`] **bit-identical** to an uninterrupted
+//! run — kill the process at any epoch, reload the last snapshot, and
+//! the report cannot tell.
 //!
 //! # Wire format
 //!
@@ -23,11 +28,14 @@
 //! by construction. Decoding validates the checksum first, then magic,
 //! version, and exact length; truncation, bit flips, and version skew
 //! are each a clean [`FreedomError::InvalidArgument`], never a panic or
-//! a partial state.
+//! a partial state. Every length prefix is checked against the bytes
+//! remaining divided by its element's wire size before anything is
+//! allocated, and the decoded metering must be consistent with the
+//! header (see `Metering::load`) and with the carry's live indices.
 
 use std::path::Path;
 
-use crate::fleet::{Carry, WindowMetering};
+use crate::fleet::{Carry, Metering};
 use crate::stream::StreamCheckpoint;
 use crate::{FreedomError, Result};
 
@@ -35,8 +43,10 @@ use crate::{FreedomError, Result};
 /// decoders reject other versions rather than guessing. Version 2 added
 /// the file index to CSV stream checkpoints (multi-file traces); version
 /// 3 added the pending-retry heap and retry-budget carry state plus the
-/// trailing FNV-64 integrity checksum.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// trailing FNV-64 integrity checksum; version 4 replaced the
+/// per-invocation metering history with the watermark fold's
+/// accumulators and in-flight tail.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// File magic: "FDSN" little-endian.
 const MAGIC: u32 = u32::from_le_bytes(*b"FDSN");
@@ -65,9 +75,9 @@ pub struct ReplaySnapshot {
     /// Fingerprint of the replay (strategy, config, fleet shape, trace
     /// shape, snapshot cadence) this position belongs to.
     pub(crate) fingerprint: u64,
-    /// Next window index to simulate: windows `0..epoch` are folded
-    /// into `metering`, the stream checkpoint sits at the first event
-    /// of window `epoch`.
+    /// Next window index to simulate: windows `0..epoch` are metered
+    /// in `metering`, the stream checkpoint sits at the first event of
+    /// window `epoch`.
     pub(crate) epoch: u64,
     /// Snapshot cadence in integer nanoseconds (the window size).
     pub(crate) window_nanos: u64,
@@ -78,8 +88,9 @@ pub struct ReplaySnapshot {
     /// Everything crossing the boundary: in-flight ledger, controller
     /// state, partial observation epoch.
     pub(crate) carry: Carry,
-    /// Concatenated per-invocation metering of windows `0..epoch`.
-    pub(crate) metering: WindowMetering,
+    /// Metering of windows `0..epoch`, folded behind the boundary's
+    /// in-flight watermark.
+    pub(crate) metering: Metering,
 }
 
 impl ReplaySnapshot {
@@ -102,6 +113,13 @@ impl ReplaySnapshot {
     /// under a different strategy/config/trace is rejected.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Encoded size of the control-sample section: one fixed-size
+    /// sample per controller tick so far — the only part of a snapshot
+    /// that grows with the epoch index.
+    pub fn control_sample_bytes(&self) -> usize {
+        self.metering.control_samples() * crate::controller::ControlSample::WIRE_BYTES
     }
 
     /// Serializes the snapshot to its versioned wire format.
@@ -148,18 +166,35 @@ impl ReplaySnapshot {
                 "snapshot: version {version} is not the supported {SNAPSHOT_VERSION}"
             )));
         }
-        let snap = Self {
-            version,
-            fingerprint: r.u64()?,
-            epoch: r.u64()?,
-            window_nanos: r.u64()?,
-            events_consumed: r.u64()?,
-            checkpoint: StreamCheckpoint::load(&mut r)?,
-            carry: Carry::load(&mut r)?,
-            metering: WindowMetering::load(&mut r)?,
-        };
+        let fingerprint = r.u64()?;
+        let epoch = r.u64()?;
+        let window_nanos = r.u64()?;
+        let events_consumed = r.u64()?;
+        let checkpoint = StreamCheckpoint::load(&mut r)?;
+        let carry = Carry::load(&mut r)?;
+        let metering = Metering::load(&mut r, events_consumed)?;
         r.finish()?;
-        Ok(snap)
+        // Everything live across the boundary is an invocation the
+        // metering has not folded yet.
+        let unfolded = metering.folded()..events_consumed;
+        if carry
+            .live_indices()
+            .any(|i| !unfolded.contains(&u64::from(i)))
+        {
+            return Err(FreedomError::InvalidArgument(
+                "snapshot: in-flight or pending invocation outside the unfolded tail".into(),
+            ));
+        }
+        Ok(Self {
+            version,
+            fingerprint,
+            epoch,
+            window_nanos,
+            events_consumed,
+            checkpoint,
+            carry,
+            metering,
+        })
     }
 
     /// Writes the snapshot to `path` atomically: encode to a sibling
@@ -282,16 +317,18 @@ impl<'a> Unwire<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// A length prefix, sanity-capped so a corrupt prefix cannot drive
-    /// a giant pre-allocation: every element of every sequence in the
-    /// format occupies at least one byte, so a plausible length never
-    /// exceeds the bytes remaining.
-    pub(crate) fn len(&mut self) -> Result<usize> {
+    /// A length prefix of a sequence whose elements each occupy at
+    /// least `elem_bytes` bytes on the wire, capped so a corrupt prefix
+    /// cannot drive a pre-allocation beyond the input: a plausible
+    /// length never exceeds the bytes remaining ÷ `elem_bytes`.
+    pub(crate) fn len(&mut self, elem_bytes: usize) -> Result<usize> {
         let n = self.u64()?;
-        let remaining = (self.buf.len() - self.pos) as u64;
-        if n > remaining {
+        let remaining = self.buf.len() - self.pos;
+        let most = (remaining / elem_bytes.max(1)) as u64;
+        if n > most {
             return Err(FreedomError::InvalidArgument(format!(
-                "snapshot: length prefix {n} exceeds the {remaining} bytes remaining"
+                "snapshot: length prefix {n} × {elem_bytes} B exceeds the \
+                 {remaining} bytes remaining"
             )));
         }
         Ok(n as usize)
@@ -336,7 +373,7 @@ mod tests {
         assert_eq!(r.u64().unwrap(), u64::MAX - 7);
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.f64().unwrap().to_bits(), 0x7FF8_0000_0000_1234);
-        let n = r.len().unwrap();
+        let n = r.len(1).unwrap();
         assert_eq!(n, 3);
         for expected in 1..=3u8 {
             assert_eq!(r.u8().unwrap(), expected);
@@ -376,7 +413,193 @@ mod tests {
         let mut w = Wire::new();
         w.u64(u64::MAX);
         let bytes = w.into_bytes();
-        assert!(Unwire::new(&bytes).len().is_err());
+        assert!(Unwire::new(&bytes).len(1).is_err());
+    }
+
+    /// A hand-built v4 snapshot body: an empty CSV checkpoint, a carry
+    /// holding at most one in-flight invocation, and a metering section
+    /// with `folded` accumulated invocations plus `tail` unfolded
+    /// on-demand records — every field chosen by the test.
+    struct Crafted {
+        version: u32,
+        events_consumed: u64,
+        inflight_idx: Option<u32>,
+        folded: u64,
+        by_class: [u64; 8],
+        values: Vec<(u64, u64)>,
+        /// Declared tail length; `tail_classes` supplies the records.
+        tail_len: u64,
+        tail_classes: Vec<u8>,
+    }
+
+    impl Crafted {
+        /// Consistent state: 3 folded on-demand invocations at inflation
+        /// 1.0, 2 more in the tail, the newest still in flight.
+        fn valid() -> Self {
+            Self {
+                version: SNAPSHOT_VERSION,
+                events_consumed: 5,
+                inflight_idx: Some(4),
+                folded: 3,
+                by_class: [3, 0, 0, 0, 0, 0, 0, 0],
+                values: vec![(1.0f64.to_bits(), 3)],
+                tail_len: 2,
+                tail_classes: vec![0, 0],
+            }
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            let mut w = Wire::new();
+            w.u32(MAGIC);
+            w.u32(self.version);
+            w.u64(0xF00D); // fingerprint
+            w.u64(1); // epoch
+            w.u64(1_000_000_000); // window
+            w.u64(self.events_consumed);
+            // Checkpoint: CSV at file 0, offset 0, no open rows.
+            w.u8(1);
+            w.u32(0);
+            w.u64(0);
+            w.u64(0);
+            w.u64(0);
+            w.bool(false);
+            w.len(0);
+            // Carry: in-flight entries, no pending retries, no budget
+            // buckets, a greedy controller state, a zeroed epoch.
+            w.len(usize::from(self.inflight_idx.is_some()));
+            if let Some(idx) = self.inflight_idx {
+                w.u64(2_000_000_000);
+                for field in [0, idx, 0, 500, 512, 1] {
+                    w.u32(field);
+                }
+                w.f64(1e-6);
+            }
+            w.len(0);
+            w.len(0);
+            w.u8(0);
+            w.u64(0);
+            w.f64(0.0);
+            w.f64(0.0);
+            w.len(0);
+            w.len(0);
+            w.bool(false);
+            w.len(0);
+            for _ in 0..8 {
+                w.u32(0);
+            }
+            w.len(0);
+            // Metering.
+            w.u64(self.folded);
+            w.f64(3e-6);
+            w.f64(3.0);
+            for c in self.by_class {
+                w.u64(c);
+            }
+            w.len(self.values.len());
+            for &(bits, count) in &self.values {
+                w.u64(bits);
+                w.u64(count);
+            }
+            w.u64(self.tail_len);
+            for _ in &self.tail_classes {
+                w.f64(1e-6);
+            }
+            for _ in &self.tail_classes {
+                w.f64(1.0);
+            }
+            for &c in &self.tail_classes {
+                w.u8(c);
+            }
+            for _ in 0..4 {
+                w.len(0); // retry adjustments, retries, hedges, samples
+            }
+            w.u32(0);
+            sealed(w.into_bytes())
+        }
+    }
+
+    /// Decodes `c` and returns the error text, failing if it decodes.
+    fn rejection(c: &Crafted) -> String {
+        match ReplaySnapshot::from_bytes(&c.bytes()) {
+            Ok(_) => panic!("crafted snapshot must be rejected"),
+            Err(e @ FreedomError::InvalidArgument(_)) => e.to_string(),
+            Err(e) => panic!("expected InvalidArgument, got {e}"),
+        }
+    }
+
+    #[test]
+    fn crafted_consistent_body_decodes() {
+        let snap = ReplaySnapshot::from_bytes(&Crafted::valid().bytes()).unwrap();
+        assert_eq!(snap.events_consumed(), 5);
+        assert_eq!(snap.metering.folded(), 3);
+        assert_eq!(snap.control_sample_bytes(), 0);
+    }
+
+    #[test]
+    fn inconsistent_folded_state_is_rejected() {
+        let c = Crafted {
+            events_consumed: 6,
+            ..Crafted::valid()
+        };
+        assert!(rejection(&c).contains("events consumed"));
+        let c = Crafted {
+            by_class: [2, 0, 0, 0, 0, 0, 0, 0],
+            ..Crafted::valid()
+        };
+        assert!(rejection(&c).contains("class counts"));
+        let c = Crafted {
+            values: vec![(1.0f64.to_bits(), 2), (2.0f64.to_bits(), 2)],
+            ..Crafted::valid()
+        };
+        assert!(rejection(&c).contains("value-table counts"));
+        // Overflowing counts are summed wide, not wrapped into a match.
+        let c = Crafted {
+            values: vec![(1.0f64.to_bits(), u64::MAX), (2.0f64.to_bits(), 4)],
+            ..Crafted::valid()
+        };
+        assert!(rejection(&c).contains("value-table counts"));
+        let c = Crafted {
+            values: vec![(2.0f64.to_bits(), 1), (1.0f64.to_bits(), 2)],
+            ..Crafted::valid()
+        };
+        assert!(rejection(&c).contains("canonical order"));
+        let c = Crafted {
+            tail_classes: vec![0, 7],
+            ..Crafted::valid()
+        };
+        assert!(rejection(&c).contains("class out of range"));
+        // An in-flight invocation the metering already folded.
+        let c = Crafted {
+            inflight_idx: Some(1),
+            ..Crafted::valid()
+        };
+        assert!(rejection(&c).contains("outside the unfolded tail"));
+    }
+
+    #[test]
+    fn lying_length_prefixes_are_rejected_before_allocating() {
+        // A tail of `n` records needs 17·n bytes: a prefix that fits the
+        // bytes remaining but not ÷ 17 must fail at the prefix.
+        let c = Crafted {
+            tail_len: 40,
+            ..Crafted::valid()
+        };
+        assert!(c.bytes().len() > 40 + 8, "prefix must fit the raw bytes");
+        assert!(rejection(&c).contains("length prefix 40 × 17 B"));
+        let c = Crafted {
+            tail_len: u64::MAX,
+            ..Crafted::valid()
+        };
+        assert!(rejection(&c).contains("length prefix"));
+    }
+
+    #[test]
+    fn version_3_snapshots_are_rejected() {
+        let c = Crafted {
+            version: 3,
+            ..Crafted::valid()
+        };
+        assert!(rejection(&c).contains("version 3 is not the supported 4"));
     }
 
     #[test]

@@ -861,7 +861,7 @@ impl StreamCheckpoint {
     pub(crate) fn load(r: &mut crate::snapshot::Unwire) -> Result<Self> {
         let imp = match r.u8()? {
             0 => {
-                let n = r.len()?;
+                let n = r.len(GenCursor::MIN_WIRE_BYTES + 1)?;
                 let mut cursors = Vec::with_capacity(n);
                 for _ in 0..n {
                     cursors.push(GenCursor::load(r)?);
@@ -886,7 +886,7 @@ impl StreamCheckpoint {
                 let lineno = r.u64()? as usize;
                 let m_max = r.u64()?;
                 let exhausted = r.bool()?;
-                let n = r.len()?;
+                let n = r.len(28)?;
                 let mut rows = Vec::with_capacity(n);
                 for _ in 0..n {
                     rows.push(OpenRow {

@@ -394,6 +394,10 @@ enum GenMode {
 }
 
 impl GenCursor {
+    /// Smallest encoding [`GenCursor::save`] produces: RNG state, clock,
+    /// duration, done flag, rate hint, and the one-field Poisson mode.
+    pub(crate) const MIN_WIRE_BYTES: usize = 4 * 8 + 8 + 8 + 1 + 8 + 1 + 8;
+
     /// Seeds a fresh cursor at `t = 0`. Any RNG draws that fix the
     /// stream's shape (the heavy-tail popularity weight, the first
     /// bursty state switch) happen here, in the same order the

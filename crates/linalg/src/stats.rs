@@ -50,30 +50,36 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
-/// [`quantile`] computed by selection instead of a full sort: `O(n)`
-/// and allocation-free, at the price of permuting `xs`. Returns the
-/// same value as `quantile` for NaN-free input (the interpolated order
-/// statistics are well-defined regardless of how ties are arranged);
-/// use it when the slice is large and its order is disposable — e.g.
-/// the fleet replay's per-invocation latency array at week scale.
-pub fn quantile_in_place(xs: &mut [f64], q: f64) -> Option<f64> {
-    if xs.is_empty() || !(0.0..=1.0).contains(&q) {
+/// [`quantile`] over a counted sample: `counts` lists each distinct
+/// value once, in ascending order, with its multiplicity. The result is
+/// bit-identical to `quantile` on the expanded sample (the same
+/// `lo`/`hi`/`frac` interpolation between the same order statistics)
+/// but costs O(distinct values) — e.g. the fleet replay's p95 latency
+/// inflation, where tens of millions of invocations share a few
+/// thousand values. Returns `None` for an empty sample or out-of-range
+/// `q`.
+pub fn quantile_counted(counts: &[(f64, u64)], q: f64) -> Option<f64> {
+    let n: u64 = counts.iter().map(|&(_, c)| c).sum();
+    if n == 0 || !(0.0..=1.0).contains(&q) {
         return None;
     }
-    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
-    let pos = q * (xs.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
+    let pos = q * (n - 1) as f64;
+    let lo = pos.floor() as u64;
+    let hi = pos.ceil() as u64;
     let frac = pos - lo as f64;
-    let (_, &mut lo_val, rest) = xs.select_nth_unstable_by(lo, cmp);
-    let hi_val = if hi == lo {
-        lo_val
-    } else {
-        // `hi == lo + 1`: the (lo+1)-th order statistic is the minimum
-        // of everything partitioned to the right of `lo`.
-        rest.iter().copied().fold(f64::INFINITY, f64::min)
+    // The `k`-th (0-based) order statistic of the expanded sample.
+    let nth = |k: u64| {
+        let mut seen = 0;
+        counts
+            .iter()
+            .find(|&&(_, c)| {
+                seen += c;
+                k < seen
+            })
+            .map(|&(v, _)| v)
+            .expect("k < n")
     };
-    Some(lo_val * (1.0 - frac) + hi_val * frac)
+    Some(nth(lo) * (1.0 - frac) + nth(hi) * frac)
 }
 
 /// Median (the 0.5 quantile).
@@ -188,9 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn quantile_in_place_matches_sorting_quantile() {
-        assert_eq!(quantile_in_place(&mut [], 0.5), None);
-        assert_eq!(quantile_in_place(&mut [1.0], -0.1), None);
+    fn quantile_counted_matches_sorting_quantile() {
+        assert_eq!(quantile_counted(&[], 0.5), None);
+        assert_eq!(quantile_counted(&[(1.0, 0)], 0.5), None);
+        assert_eq!(quantile_counted(&[(1.0, 1)], -0.1), None);
         // Seeded pseudo-random data with duplicates, against the
         // sort-based reference at every breakpoint-straddling q.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -203,9 +210,18 @@ mod tests {
                     ((state >> 56) as f64) / 8.0
                 })
                 .collect();
+            let mut sorted = xs.clone();
+            sorted.sort_by(f64::total_cmp);
+            let mut counts: Vec<(f64, u64)> = Vec::new();
+            for x in sorted {
+                match counts.last_mut() {
+                    Some((v, c)) if *v == x => *c += 1,
+                    _ => counts.push((x, 1)),
+                }
+            }
             for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.95, 1.0] {
                 let expect = quantile(&xs, q).unwrap();
-                let got = quantile_in_place(&mut xs.clone(), q).unwrap();
+                let got = quantile_counted(&counts, q).unwrap();
                 assert_eq!(got.to_bits(), expect.to_bits(), "n={n}, q={q}");
             }
         }

@@ -172,6 +172,66 @@ fn steady_state_replay_allocations_are_event_count_independent() {
     );
 }
 
+/// The resumable path's allocation discipline: at a fixed epoch count
+/// (5 × 240 s), replaying 8× the events through
+/// `run_stream_resumable_traced` — folding behind the watermark and
+/// encoding a snapshot at every boundary — must not allocate more. The
+/// running metering's tail reuses its capacity across epochs instead of
+/// growing with history. Each epoch rebuilds its ledger and completion
+/// heap from the carry, which costs O(log in-flight) allocations per
+/// epoch — denser traces hold more placements in flight — so the epoch
+/// count is kept small enough for that term to stay inside `SLACK`.
+#[test]
+fn resumable_replay_allocations_are_event_count_independent() {
+    let small = csv_trace(2);
+    let large = csv_trace(16);
+    let plans = synthetic_plans(12, 4).unwrap();
+    let sim = FleetSimulator::new(plans).unwrap();
+    let config = FleetConfig::default();
+    let mut snapshots = 0usize;
+    let mut run = |trace: &StreamTrace| {
+        sim.run_stream_resumable_traced(
+            trace,
+            PlacementStrategy::IdleAware,
+            &config,
+            240.0,
+            None,
+            &mut NoopRecorder,
+            |snap, _| {
+                snapshots += 1;
+                std::hint::black_box(snap.to_bytes());
+                Ok(true)
+            },
+        )
+        .unwrap()
+        .expect("an uninterrupted run returns a report")
+    };
+
+    let warm = run(&large);
+
+    let before_small = alloc_events();
+    let small_report = run(&small);
+    let small_cost = alloc_events() - before_small;
+
+    let before_large = alloc_events();
+    let large_report = run(&large);
+    let large_cost = alloc_events() - before_large;
+
+    assert_eq!(format!("{warm:?}"), format!("{large_report:?}"));
+    assert!(large_report.invocations >= 8 * small_report.invocations);
+    assert_eq!(snapshots, 3 * 4, "every run snapshots at all 4 boundaries");
+
+    assert!(
+        large_cost <= small_cost + SLACK,
+        "resumable replay of {} events allocated {} times, but {} events \
+         allocated {} times: the resumable path is allocating per event",
+        large_report.invocations,
+        large_cost,
+        small_report.invocations,
+        small_cost,
+    );
+}
+
 /// The telemetry layer's zero-allocation claim, enforced with a *live*
 /// recorder: counters, histograms, sampled wall timing, and the span
 /// ring are all preallocated at `Telemetry` construction, so a traced

@@ -204,6 +204,60 @@ fn kill_at_random_epoch_resumes_bit_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Snapshot size is bounded by live state, not by history: apart from
+/// the control samples (one fixed-size record per controller tick),
+/// every boundary's snapshot stays within a fixed slack of the first
+/// one while the replay keeps folding invocations behind the in-flight
+/// watermark.
+#[test]
+fn snapshot_size_does_not_grow_with_history() {
+    /// Room for the unfolded tail to vary between boundaries: it spans
+    /// the arrivals behind the longest-running live placement (~50 s of
+    /// transcoding here), 17 B each, plus the carry's in-flight entries.
+    const SLACK: usize = 16 * 1024;
+    let plans =
+        freedom_experiments::fleet_simulation::synthetic_plans(FunctionKind::ALL.len(), 4).unwrap();
+    let sim = FleetSimulator::new(plans).unwrap();
+    let config = faulted_config();
+    // Twenty minutes of steady arrivals, so the in-flight span — and
+    // with it the unfolded tail — has the same shape at every boundary.
+    let lazy = StreamTrace::generate(
+        TraceSource::Poisson {
+            rps_per_function: 2.0,
+        },
+        FunctionKind::ALL.len(),
+        1200.0,
+        11,
+    )
+    .unwrap();
+
+    // (epoch, encoded bytes minus the control-sample section, events).
+    let mut sizes: Vec<(u64, usize, u64)> = Vec::new();
+    resumable(&sim, &lazy, &config, 60.0, None, |s| {
+        let bytes = s.to_bytes().len() - s.control_sample_bytes();
+        sizes.push((s.epoch(), bytes, s.events_consumed()));
+        Ok(true)
+    })
+    .unwrap()
+    .expect("uninterrupted run completes");
+    assert!(sizes.len() >= 5, "want several boundaries, got {sizes:?}");
+    let (_, first, first_events) = sizes[0];
+    let (_, _, last_events) = *sizes.last().unwrap();
+    // Keeping a 17 B record per replayed invocation would outgrow the
+    // slack several times over.
+    assert!(
+        17 * (last_events - first_events) > 4 * SLACK as u64,
+        "too few events between boundaries to tell: {sizes:?}"
+    );
+    for &(epoch, bytes, _) in &sizes {
+        assert!(
+            bytes.abs_diff(first) <= SLACK,
+            "epoch {epoch}: {bytes} B without control samples vs {first} B at the \
+             first boundary — the snapshot grows with history: {sizes:?}"
+        );
+    }
+}
+
 /// A snapshot is only valid for the replay that produced it: a different
 /// controller, fault seed, or snapshot cadence must be rejected up
 /// front, and a truncated snapshot file must fail to decode instead of

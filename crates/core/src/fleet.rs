@@ -41,6 +41,11 @@
 //!   crash-resume [`ReplaySnapshot`] carrying the exact in-flight,
 //!   retry, and controller state.
 //!
+//! The two streaming entry points pull their events from an ingest
+//! thread (the stream module's pipelined hand-off), so trace decoding
+//! overlaps the simulation; the simulation itself stays on the calling
+//! thread.
+//!
 //! All three are bit-identical for the same trace, whatever the recorder
 //! and wherever a resumable run was killed and resumed (guarded by
 //! `tests/determinism.rs` and `tests/crash_resume.rs`). See
@@ -76,6 +81,7 @@ pub use crate::controller::{ControlConfig, ControllerConfig, PidConfig, RightSiz
 pub use crate::market::{AdmissionPolicy, SupplyProcess, ZoneConfig};
 pub use crate::retry::{BrownoutConfig, RetryPolicy};
 pub use crate::snapshot::SNAPSHOT_VERSION as REPLAY_SNAPSHOT_VERSION;
+use crate::stream::pipelined;
 pub use crate::stream::{EventStream, StreamCheckpoint, StreamTrace};
 pub use crate::trace::{Trace, TraceEvent, TraceSource};
 pub use freedom_telemetry::{NoopRecorder, Recorder, Telemetry};
@@ -1020,23 +1026,27 @@ impl FleetSimulator {
         rec: &mut R,
     ) -> Result<(FleetReport, ReplayStats)> {
         let ctx = self.prepare(trace.n_functions(), trace.horizon_nanos(), strategy, config)?;
-        let mut stream = trace.open()?;
         let mut metering = Metering::default();
-        let outcome = simulate_window(
-            &ctx,
-            stream.events(),
-            0,
-            &Carry::initial(&ctx),
-            0,
-            u64::MAX,
-            rec,
-            &mut metering,
-        );
+        let (outcome, peak_cursor_resident) =
+            pipelined(trace.open()?, std::iter::empty(), |batches| {
+                let outcome = simulate_window(
+                    &ctx,
+                    std::iter::from_fn(|| batches.next_event::<R>()),
+                    0,
+                    &Carry::initial(&ctx),
+                    0,
+                    u64::MAX,
+                    rec,
+                    &mut metering,
+                );
+                rec.add(tel::Counter::IngestWaits, batches.take_waits());
+                outcome
+            });
         rec.add(tel::Counter::WindowsSimulated, 1);
         let stats = ReplayStats {
             events: trace.len(),
             peak_inflight: outcome.peak_inflight,
-            peak_cursor_resident: stream.peak_resident(),
+            peak_cursor_resident,
         };
         let report = reduce(
             strategy,
@@ -1094,7 +1104,7 @@ impl FleetSimulator {
         }
         let fingerprint = replay_fingerprint(&ctx, strategy, config, trace.len(), window_nanos);
         let n = (horizon / window_nanos) as usize + 1;
-        let (mut k, mut carry, mut stream, mut metering, mut consumed) = match resume {
+        let (mut k, mut carry, stream, mut metering, mut consumed) = match resume {
             Some(snap) => {
                 if snap.fingerprint != fingerprint {
                     return Err(FreedomError::InvalidArgument(
@@ -1125,19 +1135,20 @@ impl FleetSimulator {
                 0,
             ),
         };
-        while k < n {
-            let (start, end) = window_span(k, window_nanos);
-            let mut count = 0u64;
-            let outcome = {
+        // The ingest thread closes every epoch with the stream checkpoint
+        // taken at its boundary, so each snapshot resumes exactly where
+        // this thread stopped consuming.
+        let boundaries = (k + 1..n).map(move |b| b as u64 * window_nanos);
+        let (finished, _) = pipelined(stream, boundaries, |batches| -> Result<bool> {
+            while k < n {
+                let (start, end) = window_span(k, window_nanos);
+                let mut count = 0u64;
                 let events = std::iter::from_fn(|| {
-                    if stream.peek().is_some_and(|e| event_nanos(e.at_secs) < end) {
-                        count += 1;
-                        stream.next()
-                    } else {
-                        None
-                    }
+                    let event = batches.next_event::<R>();
+                    count += u64::from(event.is_some());
+                    event
                 });
-                simulate_window(
+                let outcome = simulate_window(
                     &ctx,
                     events,
                     consumed as u32,
@@ -1146,39 +1157,49 @@ impl FleetSimulator {
                     end,
                     rec,
                     &mut metering,
-                )
-            };
-            rec.add(tel::Counter::WindowsSimulated, 1);
-            consumed += count;
-            carry = outcome.carry_out;
-            k += 1;
-            if k < n {
-                // Fold everything behind the boundary's watermark, so the
-                // snapshot carries accumulators plus the in-flight tail
-                // rather than the history; lend the metering to the
-                // snapshot instead of cloning it.
-                metering.fold(carry.live_indices().fold(consumed as u32, u32::min));
-                let snap = ReplaySnapshot {
-                    version: SNAPSHOT_VERSION,
-                    fingerprint,
-                    epoch: k as u64,
-                    window_nanos,
-                    events_consumed: consumed,
-                    checkpoint: stream.checkpoint(),
-                    carry: carry.clone(),
-                    metering: std::mem::take(&mut metering),
-                };
-                let boundary = k as u64 * window_nanos;
-                rec.span_sim(tel::Span::SnapshotEpoch, boundary, boundary, k as u64);
-                rec.add(tel::Counter::SnapshotsWritten, 1);
-                let snap_wall = rec.now_nanos();
-                let keep_going = on_snapshot(&snap, rec)?;
-                rec.span_wall(tel::Span::SnapshotEpoch, snap_wall, k as u64);
-                metering = snap.metering;
-                if !keep_going {
-                    return Ok(None);
+                );
+                rec.add(tel::Counter::WindowsSimulated, 1);
+                rec.add(tel::Counter::IngestWaits, batches.take_waits());
+                consumed += count;
+                carry = outcome.carry_out;
+                k += 1;
+                if k < n {
+                    // No checkpoint means the ingest thread died mid-epoch;
+                    // `pipelined` re-raises its panic.
+                    let Some(checkpoint) = batches.take_checkpoint() else {
+                        return Ok(false);
+                    };
+                    // Fold everything behind the boundary's watermark, so
+                    // the snapshot carries accumulators plus the in-flight
+                    // tail rather than the history; lend the metering to
+                    // the snapshot instead of cloning it.
+                    metering.fold(carry.live_indices().fold(consumed as u32, u32::min));
+                    let snap = ReplaySnapshot {
+                        version: SNAPSHOT_VERSION,
+                        fingerprint,
+                        epoch: k as u64,
+                        window_nanos,
+                        events_consumed: consumed,
+                        checkpoint,
+                        carry: carry.clone(),
+                        metering: std::mem::take(&mut metering),
+                    };
+                    let boundary = k as u64 * window_nanos;
+                    rec.span_sim(tel::Span::SnapshotEpoch, boundary, boundary, k as u64);
+                    rec.add(tel::Counter::SnapshotsWritten, 1);
+                    let snap_wall = rec.now_nanos();
+                    let keep_going = on_snapshot(&snap, rec)?;
+                    rec.span_wall(tel::Span::SnapshotEpoch, snap_wall, k as u64);
+                    metering = snap.metering;
+                    if !keep_going {
+                        return Ok(false);
+                    }
                 }
             }
+            Ok(true)
+        });
+        if !finished? {
+            return Ok(None);
         }
         debug_assert_eq!(consumed as usize, trace.len());
         Ok(Some(reduce(

@@ -40,11 +40,17 @@
 //!   parallel, per-file key lists merge in file order (bit-identical to
 //!   scanning the concatenation), and each file may carry its own header
 //!   row. Files whose first bytes are the gzip magic are decompressed on
-//!   the fly through the vendored [`flate`] inflater; during replay,
-//!   file-backed gzip inputs decompress on a reader thread ahead of the
-//!   parser, bounded to [`READAHEAD_DEPTH`] chunks of
-//!   [`READAHEAD_CHUNK`] bytes. Identical bytes flow either way, so
-//!   gz ≡ plain ≡ materialized, bit for bit.
+//!   the fly through the vendored [`flate`] inflater, in place of the
+//!   plain reads, on whichever thread drives the stream. Identical bytes
+//!   flow either way, so gz ≡ plain ≡ materialized, bit for bit.
+//! - **Pipelined ingest.** A fleet replay does not pull this stream on
+//!   its own thread: `pipelined` moves the stream — inflate, CSV parse
+//!   and the k-way merge — onto one scoped ingest thread that fills
+//!   fixed-size event batches from a preallocated pool, while the
+//!   simulation consumes them over a bounded hand-off. Epoch boundaries
+//!   travel in the batch stream as checkpoints taken at the exact
+//!   boundary position. Event order is the stream's own, so the replay
+//!   is bit-identical to a single-threaded pull by construction.
 //!
 //! Construction performs one **scan pass** (cheap: generation only, no
 //! simulation) recording the event count and horizon per function —
@@ -55,6 +61,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 
 use crate::trace::{
@@ -73,13 +80,6 @@ pub const CSV_LOOKAHEAD_MINUTES: u64 = 8;
 /// Default chunk size of the CSV byte reader. Tests shrink it to force
 /// records across chunk boundaries.
 const CSV_CHUNK_BYTES: usize = 64 * 1024;
-
-/// Decompressed bytes per read-ahead chunk for file-backed gzip inputs.
-pub const READAHEAD_CHUNK: usize = 256 * 1024;
-
-/// Maximum in-flight read-ahead chunks: the decompressor runs at most
-/// `READAHEAD_DEPTH × READAHEAD_CHUNK` bytes ahead of the parser.
-pub const READAHEAD_DEPTH: usize = 4;
 
 /// Where the CSV bytes live. `Mem` shares the buffer across reopened
 /// streams; `File` reopens and seeks, so parallel windows each hold one
@@ -255,7 +255,7 @@ struct FileScan {
 }
 
 fn scan_file(file: &CsvFile, chunk: usize) -> Result<FileScan> {
-    let mut reader = ChunkedLines::open(file, 0, 0, chunk, false)?;
+    let mut reader = ChunkedLines::open(file, 0, 0, chunk)?;
     let mut local = KeyMap::default();
     let mut keys = Vec::new();
     let mut row_fn: Vec<u32> = Vec::new();
@@ -1278,7 +1278,7 @@ impl<'a> MultiFileLines<'a> {
             files,
             chunk,
             file_idx,
-            cur: ChunkedLines::open(file, offset, lineno, chunk, true)?,
+            cur: ChunkedLines::open(file, offset, lineno, chunk)?,
         })
     }
 
@@ -1307,7 +1307,7 @@ impl<'a> MultiFileLines<'a> {
                 return Ok(None);
             }
             self.file_idx += 1;
-            self.cur = ChunkedLines::open(&self.files[self.file_idx], 0, 0, self.chunk, true)?;
+            self.cur = ChunkedLines::open(&self.files[self.file_idx], 0, 0, self.chunk)?;
         }
         self.cur.take_line().map(Some)
     }
@@ -1320,13 +1320,10 @@ enum ChunkSrc {
         read: usize,
     },
     File(std::fs::File),
-    /// Synchronous gzip decode (in-memory inputs and mid-file resumes).
-    /// Boxed: the inflater's window dwarfs the other variants, and the
-    /// feed is touched once per chunk, not per event.
+    /// Gzip decode, inline with line splitting. Boxed: the inflater's
+    /// window dwarfs the other variants, and the feed is touched once
+    /// per chunk, not per event.
     Gz(Box<GzFeed>),
-    /// Gzip decode on a reader thread, bounded by the channel depth —
-    /// decompression overlaps parsing and replay.
-    GzAhead(ReadAhead),
 }
 
 /// Raw (compressed) byte source for the inflater.
@@ -1403,57 +1400,6 @@ impl GzFeed {
     }
 }
 
-/// Bounded read-ahead: a reader thread inflates the file into a
-/// [`READAHEAD_DEPTH`]-deep channel of decompressed chunks. Dropping
-/// the receiver unblocks and joins the thread.
-struct ReadAhead {
-    rx: Option<std::sync::mpsc::Receiver<std::result::Result<Vec<u8>, String>>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ReadAhead {
-    fn spawn(src: ByteSrc) -> Self {
-        let (tx, rx) = std::sync::mpsc::sync_channel(READAHEAD_DEPTH);
-        let handle = std::thread::spawn(move || {
-            let mut reader = flate::GzReader::new(src);
-            loop {
-                let mut out = Vec::with_capacity(READAHEAD_CHUNK + 512);
-                match reader.read_chunk(&mut out, READAHEAD_CHUNK) {
-                    Ok(more) => {
-                        if !out.is_empty() && tx.send(Ok(out)).is_err() {
-                            return;
-                        }
-                        if !more {
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = tx.send(Err(e.to_string()));
-                        return;
-                    }
-                }
-            }
-        });
-        Self {
-            rx: Some(rx),
-            handle: Some(handle),
-        }
-    }
-
-    fn recv(&mut self) -> Option<std::result::Result<Vec<u8>, String>> {
-        self.rx.as_ref().and_then(|rx| rx.recv().ok())
-    }
-}
-
-impl Drop for ReadAhead {
-    fn drop(&mut self) {
-        self.rx.take();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// Chunked line reader over in-memory, file-backed, or gzip'd bytes:
 /// reads fixed-size chunks, assembles lines across chunk boundaries,
 /// and tracks the (decompressed) byte offset and 0-based line number of
@@ -1477,30 +1423,19 @@ struct ChunkedLines {
 }
 
 impl ChunkedLines {
-    fn open(
-        file: &CsvFile,
-        offset: u64,
-        lineno: usize,
-        chunk: usize,
-        read_ahead: bool,
-    ) -> Result<Self> {
+    fn open(file: &CsvFile, offset: u64, lineno: usize, chunk: usize) -> Result<Self> {
         let mut buf = Vec::new();
         let src = if file.gz {
-            let file_backed = matches!(file.bytes, CsvBytes::File(_));
-            if offset == 0 && read_ahead && file_backed {
-                ChunkSrc::GzAhead(ReadAhead::spawn(raw_src(&file.bytes)?))
-            } else {
-                let mut feed = GzFeed::new(&file.bytes)?;
-                if offset > 0 {
-                    buf = feed.skip(offset, chunk.max(1)).map_err(|msg| {
-                        FreedomError::InvalidArgument(format!(
-                            "{}: {msg}",
-                            csv_line_prefix(&file.label, lineno)
-                        ))
-                    })?;
-                }
-                ChunkSrc::Gz(Box::new(feed))
+            let mut feed = GzFeed::new(&file.bytes)?;
+            if offset > 0 {
+                buf = feed.skip(offset, chunk.max(1)).map_err(|msg| {
+                    FreedomError::InvalidArgument(format!(
+                        "{}: {msg}",
+                        csv_line_prefix(&file.label, lineno)
+                    ))
+                })?;
             }
+            ChunkSrc::Gz(Box::new(feed))
         } else {
             match &file.bytes {
                 CsvBytes::Mem(data) => ChunkSrc::Mem {
@@ -1658,14 +1593,178 @@ impl ChunkedLines {
                     }
                 }
             }
-            ChunkSrc::GzAhead(ahead) => match ahead.recv() {
-                None => self.eof = true,
-                Some(Ok(bytes)) => self.buf.extend_from_slice(&bytes),
-                Some(Err(msg)) => return Err(self.gz_err(&msg)),
-            },
         }
         Ok(())
     }
+}
+
+/// Events per pipeline batch: large enough that the per-batch hand-off
+/// (two channel operations) vanishes against the events' simulation
+/// cost, small enough that the pool stays a few hundred KiB.
+const BATCH_EVENTS: usize = 4096;
+
+/// Batches in the pipeline's fixed pool: the ingest thread runs at most
+/// `PIPELINE_DEPTH × BATCH_EVENTS` events ahead of the simulation.
+const PIPELINE_DEPTH: usize = 4;
+
+/// One filled batch: events in stream order, and — when the batch
+/// closes an epoch — the stream checkpoint at that boundary, i.e. the
+/// position right after the batch's last event.
+struct Batch {
+    events: Vec<TraceEvent>,
+    checkpoint: Option<StreamCheckpoint>,
+}
+
+/// The simulation side of a pipelined replay: iterates the ingest
+/// thread's batches in order and returns each drained buffer to the
+/// pool.
+pub(crate) struct Batches {
+    full: Receiver<Batch>,
+    free: SyncSender<Vec<TraceEvent>>,
+    events: Vec<TraceEvent>,
+    pos: usize,
+    /// The checkpoint closing the current epoch, held until
+    /// [`Batches::take_checkpoint`] so the epoch's iterator stops there.
+    checkpoint: Option<StreamCheckpoint>,
+    waits: u64,
+}
+
+impl Batches {
+    /// The next event of the current epoch: `None` at an epoch boundary
+    /// (until its checkpoint is taken) and once the stream is
+    /// exhausted. With a live recorder (`R::ENABLED`), counts the
+    /// batches that were not ready when the simulation asked for them;
+    /// under `NoopRecorder` the count compiles away.
+    pub(crate) fn next_event<R: freedom_telemetry::Recorder>(&mut self) -> Option<TraceEvent> {
+        loop {
+            if let Some(&e) = self.events.get(self.pos) {
+                self.pos += 1;
+                return Some(e);
+            }
+            if self.checkpoint.is_some() {
+                return None;
+            }
+            let mut drained = std::mem::take(&mut self.events);
+            self.pos = 0;
+            if drained.capacity() > 0 {
+                drained.clear();
+                // Fails only once the ingest thread is gone.
+                let _ = self.free.send(drained);
+            }
+            let batch = match self.full.try_recv() {
+                Ok(batch) => batch,
+                Err(TryRecvError::Empty) => {
+                    if R::ENABLED {
+                        self.waits += 1;
+                    }
+                    self.full.recv().ok()?
+                }
+                Err(TryRecvError::Disconnected) => return None,
+            };
+            self.events = batch.events;
+            self.checkpoint = batch.checkpoint;
+        }
+    }
+
+    /// The stream checkpoint of the epoch boundary the iterator stopped
+    /// at; `None` when it stopped because the ingest thread ended.
+    pub(crate) fn take_checkpoint(&mut self) -> Option<StreamCheckpoint> {
+        debug_assert_eq!(self.pos, self.events.len(), "epoch drained first");
+        self.checkpoint.take()
+    }
+
+    /// Batches the simulation had to wait for since the last call.
+    pub(crate) fn take_waits(&mut self) -> u64 {
+        std::mem::take(&mut self.waits)
+    }
+}
+
+/// Runs `consume` against `stream` split into two stages: a scoped
+/// ingest thread owns the stream (inflate, CSV parse, k-way merge) and
+/// fills batches from a fixed, preallocated pool, while `consume` reads
+/// them on the calling thread through [`Batches`]. Both directions are
+/// bounded channels, so the steady state allocates nothing.
+///
+/// `boundaries` are ascending epoch boundaries in nanoseconds: before
+/// the first event at or after each one — or at the end of the stream —
+/// the ingest thread closes the current batch with the checkpoint of
+/// that exact position, so an epoch with no events still gets one.
+///
+/// Returns `consume`'s result and the stream's peak resident events.
+/// When `consume` returns early, dropping its end of the channels
+/// unblocks the ingest thread, which the scope then joins. A panic on
+/// the ingest thread (the trace changed between scan and replay) is
+/// re-raised on the caller.
+pub(crate) fn pipelined<T>(
+    mut stream: EventStream<'_>,
+    boundaries: impl Iterator<Item = u64> + Send,
+    consume: impl FnOnce(&mut Batches) -> T,
+) -> (T, usize) {
+    let (full_tx, full_rx) = sync_channel::<Batch>(PIPELINE_DEPTH);
+    let (free_tx, free_rx) = sync_channel::<Vec<TraceEvent>>(PIPELINE_DEPTH);
+    for _ in 0..PIPELINE_DEPTH {
+        free_tx
+            .send(Vec::with_capacity(BATCH_EVENTS))
+            .expect("the pool fits its channel");
+    }
+    std::thread::scope(|s| {
+        let ingest = s.spawn(move || {
+            let mut boundaries = boundaries.peekable();
+            // `None` once the simulation side hung up.
+            let emit = |events: Vec<TraceEvent>, checkpoint| {
+                full_tx.send(Batch { events, checkpoint }).ok()?;
+                free_rx.recv().ok()
+            };
+            let Ok(mut events) = free_rx.recv() else {
+                return stream.peak_resident();
+            };
+            loop {
+                // Peek only while a boundary is pending: its checkpoint
+                // is the position before the first event at or after it.
+                if let Some(&b) = boundaries.peek() {
+                    if stream.peek().is_none_or(|e| event_nanos(e.at_secs) >= b) {
+                        boundaries.next();
+                        let Some(buf) = emit(events, Some(stream.checkpoint())) else {
+                            break;
+                        };
+                        events = buf;
+                        continue;
+                    }
+                }
+                let Some(event) = stream.next() else {
+                    if !events.is_empty() {
+                        let _ = full_tx.send(Batch {
+                            events,
+                            checkpoint: None,
+                        });
+                    }
+                    break;
+                };
+                events.push(event);
+                if events.len() == BATCH_EVENTS {
+                    let Some(buf) = emit(events, None) else {
+                        break;
+                    };
+                    events = buf;
+                }
+            }
+            stream.peak_resident()
+        });
+        let mut batches = Batches {
+            full: full_rx,
+            free: free_tx,
+            events: Vec::new(),
+            pos: 0,
+            checkpoint: None,
+            waits: 0,
+        };
+        let out = consume(&mut batches);
+        drop(batches);
+        match ingest.join() {
+            Ok(peak) => (out, peak),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
 }
 
 #[cfg(test)]

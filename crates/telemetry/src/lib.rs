@@ -29,8 +29,8 @@ use std::time::Instant;
 
 /// Monotonic event counters, preallocated as one flat array.
 ///
-/// Sim-derived counters (everything except the span/export plumbing)
-/// are deterministic for a given replay.
+/// Sim-derived counters — all but [`Counter::IngestWaits`] — are
+/// deterministic for a given replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum Counter {
@@ -85,11 +85,15 @@ pub enum Counter {
     DeadLettered,
     /// Retries shed (dead-lettered) because brownout was active.
     ShedRetries,
+    /// Event batches the simulation thread found not yet filled by the
+    /// ingest thread: how often a pipelined replay was ingest-bound.
+    /// Host-derived (scheduling-dependent), like the wall-time spans.
+    IngestWaits,
 }
 
 impl Counter {
     /// Number of counters; length of [`Counter::ALL`].
-    pub const COUNT: usize = 22;
+    pub const COUNT: usize = 23;
 
     /// Every counter, in declaration (= export) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -115,6 +119,7 @@ impl Counter {
         Counter::HedgeWins,
         Counter::DeadLettered,
         Counter::ShedRetries,
+        Counter::IngestWaits,
     ];
 
     /// Stable snake_case name used in JSONL and summaries.
@@ -142,6 +147,7 @@ impl Counter {
             Counter::HedgeWins => "hedge_wins",
             Counter::DeadLettered => "dead_lettered",
             Counter::ShedRetries => "shed_retries",
+            Counter::IngestWaits => "ingest_waits",
         }
     }
 }

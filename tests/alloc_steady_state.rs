@@ -12,14 +12,17 @@
 //! a small slack for amortized growth of event-count-logarithmic
 //! structures (e.g. the adjustments list).
 //!
-//! Allocations are counted **per thread**: libtest runs the tests in
-//! this file concurrently, and a process-wide counter would charge each
-//! test with the other's allocations. Every replay measured here runs
-//! on the test's own thread (in-memory CSV, no read-ahead thread).
+//! Allocations are counted **process-wide**: a streaming replay runs
+//! its ingest stage (CSV parse, merge, event batches) on a second
+//! thread, and those allocations must count too. libtest runs the tests
+//! in this file concurrently, so each one holds [`SERIAL`] for its whole
+//! body — otherwise a test would be charged with the others'
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use faas_freedom::core::fleet::{
     FleetConfig, FleetSimulator, NoopRecorder, PlacementStrategy, StreamTrace,
@@ -27,20 +30,16 @@ use faas_freedom::core::fleet::{
 use freedom_experiments::fleet_simulation::synthetic_plans;
 
 /// Counts every allocation event (alloc, alloc_zeroed, realloc) of the
-/// calling thread without changing behavior. Counting events rather
-/// than bytes is deliberate: a `with_capacity` reserve is one event
+/// process without changing behavior. Counting events rather than
+/// bytes is deliberate: a `with_capacity` reserve is one event
 /// regardless of size, so the count isolates *how often* the replay
 /// touches the allocator.
 struct CountingAlloc;
 
-thread_local! {
-    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
-}
+static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 fn count_alloc() {
-    // `try_with`: the allocator may run while this thread's locals are
-    // being torn down.
-    let _ = ALLOC_EVENTS.try_with(|n| n.set(n.get() + 1));
+    ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -64,6 +63,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Serializes the tests of this file: the counter is process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a failed (poisoned) sibling test must not fail
+/// this one too.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// A CSV trace with `per_minute` arrivals per function per minute over a
 /// fixed 20-minute horizon: scaling `per_minute` scales the event count
 /// while keeping the control-tick and supply-step schedules identical.
@@ -77,9 +87,9 @@ fn csv_trace(per_minute: u32) -> StreamTrace {
     StreamTrace::from_csv(&s).unwrap()
 }
 
-/// Allocation events of the calling thread so far.
+/// Allocation events of the process so far.
 fn alloc_events() -> u64 {
-    ALLOC_EVENTS.with(Cell::get)
+    ALLOC_EVENTS.load(Ordering::Relaxed)
 }
 
 /// Allocation growth must be bounded by logarithmic amortized growth,
@@ -90,6 +100,7 @@ const SLACK: u64 = 64;
 
 #[test]
 fn steady_state_replay_allocations_are_event_count_independent() {
+    let _serial = serial();
     let small = csv_trace(2);
     let large = csv_trace(16);
     assert!(
@@ -183,6 +194,7 @@ fn steady_state_replay_allocations_are_event_count_independent() {
 /// count is kept small enough for that term to stay inside `SLACK`.
 #[test]
 fn resumable_replay_allocations_are_event_count_independent() {
+    let _serial = serial();
     let small = csv_trace(2);
     let large = csv_trace(16);
     let plans = synthetic_plans(12, 4).unwrap();
@@ -242,6 +254,7 @@ fn resumable_replay_allocations_are_event_count_independent() {
 /// must stay off the allocator entirely.
 #[test]
 fn telemetry_recording_allocates_nothing_in_steady_state() {
+    let _serial = serial();
     use faas_freedom::core::fleet::Telemetry;
 
     let small = csv_trace(2);

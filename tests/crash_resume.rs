@@ -379,3 +379,177 @@ fn kill_mid_retry_storm_resumes_bit_identically() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Extracts the message of a caught panic.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map_or_else(String::new, |s| s.to_string()),
+    }
+}
+
+/// Replay ingests on a second thread, but a trace file that changed
+/// after the scan must still fail the replay on the caller's thread —
+/// with the reader's own message — for both streaming entry points,
+/// rather than hang or surface as a truncated report.
+#[test]
+fn changed_csv_panics_on_the_caller_instead_of_hanging() {
+    let dir = std::env::temp_dir().join(format!("freedom-changed-csv-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("trace.csv");
+    let row = |minute: u32, f: usize| format!("app{f},fn{f},{minute},3\n");
+    let mut csv = String::from("app,func,minute,count\n");
+    for minute in 0..20 {
+        for f in 0..FunctionKind::ALL.len() {
+            csv.push_str(&row(minute, f));
+        }
+    }
+    std::fs::write(&path, &csv).unwrap();
+    let lazy = StreamTrace::from_csv_path(&path).unwrap();
+
+    // Same length, but minute 19 now opens the file: the minute-0 rows
+    // behind it break the lookahead bound the scan validated.
+    let mut changed = String::from("app,func,minute,count\n");
+    changed.push_str(&row(19, 0));
+    changed.push_str(&csv["app,func,minute,count\n".len()..csv.len() - row(19, 0).len()]);
+    assert_eq!(changed.len(), csv.len());
+    std::fs::write(&path, &changed).unwrap();
+
+    let plans =
+        freedom_experiments::fleet_simulation::synthetic_plans(FunctionKind::ALL.len(), 4).unwrap();
+    let sim = FleetSimulator::new(plans).unwrap();
+    let config = faulted_config();
+    let streaming = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        replay(&sim, &lazy, &config)
+    }));
+    let resumable = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        resumable(&sim, &lazy, &config, 60.0, None, |_| Ok(true))
+    }));
+    std::fs::remove_dir_all(&dir).ok();
+    for (label, outcome) in [
+        ("streaming", streaming.map(|_| ())),
+        ("resumable", resumable.map(|_| ())),
+    ] {
+        let msg = panic_message(outcome.expect_err(label));
+        assert!(
+            msg.contains("trace CSV changed between scan and replay"),
+            "{label}: {msg}"
+        );
+    }
+}
+
+/// Killing a file-backed multi-file gz replay at its first boundary
+/// returns `Ok(None)` at once: the ingest thread stops within its batch
+/// pool's reach of the kill. The last day file is deleted after the
+/// scan, so an ingest thread that kept reading would panic on it — as
+/// the uninterrupted replay of the same trace does.
+#[test]
+fn killed_gz_multi_file_replay_stops_ingest_promptly() {
+    let dir = std::env::temp_dir().join(format!("freedom-gz-kill-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Three 10-minute day files of 4 000 arrivals per minute: the kill
+    // lands at minute 1, and the ingest thread's reach (its batch pool
+    // plus the CSV lookahead window) ends well before minute 20.
+    let n_functions = 40;
+    let paths: Vec<std::path::PathBuf> = (0..3)
+        .map(|day| {
+            let mut csv = String::from("app,func,minute,count\n");
+            for minute in 10 * day..10 * (day + 1) {
+                for f in 0..n_functions {
+                    csv.push_str(&format!("app{},fn{f},{minute},100\n", f % 7));
+                }
+            }
+            let path = dir.join(format!("day{day}.csv.gz"));
+            let gz = flate::gzip_compress(csv.as_bytes(), flate::CompressMode::FixedHuffman);
+            std::fs::write(&path, gz).unwrap();
+            path
+        })
+        .collect();
+    let lazy = StreamTrace::from_csv_files(&paths).unwrap();
+    std::fs::remove_file(&paths[2]).unwrap();
+
+    let plans = freedom_experiments::fleet_simulation::synthetic_plans(n_functions, 4).unwrap();
+    let sim = FleetSimulator::new(plans).unwrap();
+    let config = FleetConfig::default();
+    let mut epochs = Vec::new();
+    let killed = resumable(&sim, &lazy, &config, 60.0, None, |s| {
+        epochs.push(s.epoch());
+        Ok(false)
+    })
+    .unwrap();
+    assert!(killed.is_none(), "the kill must abort the run");
+    assert_eq!(epochs, [1]);
+
+    let full = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        resumable(&sim, &lazy, &config, 60.0, None, |_| Ok(true))
+    }));
+    std::fs::remove_dir_all(&dir).ok();
+    let msg = panic_message(full.expect_err("reading the deleted day file must fail"));
+    assert!(
+        msg.contains("trace CSV changed between scan and replay"),
+        "{msg}"
+    );
+}
+
+/// An arrival gap several epochs long leaves epochs with no events; the
+/// ingest thread still closes each of them with its own checkpoint. A
+/// kill at every boundary — empty epochs included — resumes bit
+/// identically, with the controller ticking and supply stepping through
+/// the gap.
+#[test]
+fn kill_in_an_arrival_gap_resumes_bit_identically() {
+    let mut csv = String::from("app,func,minute,count\n");
+    for minute in (0..3).chain(9..12) {
+        for f in 0..FunctionKind::ALL.len() {
+            csv.push_str(&format!("app{f},fn{f},{minute},{}\n", 2 + f));
+        }
+    }
+    let lazy = StreamTrace::from_csv(&csv).unwrap();
+    let plans =
+        freedom_experiments::fleet_simulation::synthetic_plans(FunctionKind::ALL.len(), 4).unwrap();
+    let sim = FleetSimulator::new(plans).unwrap();
+    let config = faulted_config();
+    let epoch_secs = 60.0;
+
+    let reference = replay(&sim, &lazy, &config);
+    let mut boundaries: Vec<(u64, u64)> = Vec::new();
+    let full = resumable(&sim, &lazy, &config, epoch_secs, None, |s| {
+        boundaries.push((s.epoch(), s.events_consumed()));
+        Ok(true)
+    })
+    .unwrap()
+    .expect("uninterrupted run completes");
+    assert_eq!(format!("{reference:?}"), format!("{full:?}"));
+    // Every boundary of the 12-minute trace is delivered, and the gap's
+    // epochs (minutes 3..9) consume no events.
+    let epochs: Vec<u64> = boundaries.iter().map(|&(e, _)| e).collect();
+    assert_eq!(epochs, (1..12).collect::<Vec<u64>>());
+    let at_gap = boundaries[2].1;
+    assert!(
+        boundaries[3..9].iter().all(|&(_, n)| n == at_gap),
+        "{boundaries:?}"
+    );
+
+    for &(kill_at, _) in &boundaries {
+        let mut snap = None;
+        let crashed = resumable(&sim, &lazy, &config, epoch_secs, None, |s| {
+            if s.epoch() == kill_at {
+                snap = Some(s.to_bytes());
+            }
+            Ok(s.epoch() < kill_at)
+        })
+        .unwrap();
+        assert!(crashed.is_none(), "epoch {kill_at}: kill must abort");
+        let snap = ReplaySnapshot::from_bytes(&snap.unwrap()).unwrap();
+        let resumed = resumable(&sim, &lazy, &config, epoch_secs, Some(&snap), |_| Ok(true))
+            .unwrap()
+            .expect("resumed run completes");
+        assert_eq!(
+            format!("{reference:?}"),
+            format!("{resumed:?}"),
+            "resume from epoch {kill_at} diverged"
+        );
+    }
+}

@@ -156,13 +156,18 @@ fn bench_spot_market(c: &mut Criterion) {
 /// and no-op ticks over the open-loop engine), `pid` adds the feedback
 /// arithmetic, and `right_sizer` adds the per-function surrogate refits
 /// and batched re-planning. Feeds the quick-bench `BENCH_pr.json`
-/// artifact like every other group here.
+/// artifact like every other group here, plus two gated counters:
+/// `hour_120fn_static_ns_per_event` and
+/// `hour_120fn_right_sizer_ns_per_event` (best of 3 alternating
+/// replays each), so `scripts/bench_check` catches a right-sizer that
+/// gets more expensive per event.
 ///
-/// Right-sizer tick amortization (batch the epoch's fresh observations
-/// into one warm-start `fit_update` per function instead of one per
-/// observation), measured on the 1-core build container: before
-/// 22.3 ms static vs 32.7 ms right_sizer (+47%); after 21.5 ms vs
-/// 28.3 ms (+32%) — roughly a third of the tick overhead gone.
+/// Right-sizer tick cost, `--fast` means per replay on a 2-core box
+/// (three alternating runs, range): with the allocating GP search and
+/// sequential refits, static 23.9–40.7 ms vs right_sizer
+/// 49.5–50.5 ms; with the allocation-free search and ticks that fan
+/// their refits out over `par_run`, static 23.4–34.1 ms vs right_sizer
+/// 31.3–38.9 ms.
 fn bench_control_loop(c: &mut Criterion) {
     use exp::fleet_simulation::{market_config, market_tightness, synthetic_plans};
     use freedom::fleet::{
@@ -209,6 +214,32 @@ fn bench_control_loop(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // Per-event cost of the open loop and of the right-sizer, as gated
+    // counters: best-of-3 walls, the two variants alternating so
+    // scheduler noise hits both alike.
+    let gated = [controllers[0], controllers[2]];
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..3 {
+        for ((_, controller), best) in gated.iter().zip(&mut best) {
+            let config = config(*controller);
+            let t0 = std::time::Instant::now();
+            let report = sim
+                .run(&trace, PlacementStrategy::IdleAware, &config)
+                .expect("replay");
+            *best = best.min(t0.elapsed().as_secs_f64());
+            std::hint::black_box(report);
+        }
+    }
+    for ((name, _), best) in gated.iter().zip(best) {
+        let ns_per_event = best * 1e9 / trace.len() as f64;
+        println!("bench control_loop/{name}: {ns_per_event:.0} ns/event");
+        freedom_bench::report_counter(
+            &format!("control_loop/{name}_ns_per_event"),
+            ns_per_event,
+            "ns/event",
+        );
+    }
 }
 
 /// The streaming event pipeline at full Azure scale: events produced

@@ -54,12 +54,19 @@
 //! the same model, bit for bit, as the uninterrupted replay that grew it
 //! incrementally.
 
+use std::sync::Mutex;
+
 use freedom_surrogates::{Surrogate, SurrogateKind};
 
 use crate::market::AdmissionPolicy;
 use crate::provider::{IdleCapacityPlanner, PlannerConfig};
 use crate::retry::BrownoutConfig;
 use crate::{FreedomError, Result};
+
+/// Fewest refits a right-sizer tick fans out over threads; smaller ticks
+/// refit on the caller, where a thread hand-off would cost more than it
+/// saves.
+const FANOUT_MIN_REFITS: usize = 4;
 
 /// Upper bound on controller ticks per replay, mirroring
 /// [`crate::trace::MAX_WINDOWS`]: a cadence far below the trace span
@@ -908,6 +915,113 @@ impl SurrogateRightSizer {
         }
         slot.as_mut()
     }
+
+    /// [`Controller::tick`] with the refits fanned out over `width`
+    /// threads once the tick refits at least [`FANOUT_MIN_REFITS`]
+    /// functions. Three phases:
+    ///
+    /// 1. sequentially extend each function's log and batch partition,
+    ///    collecting the functions that saw fresh alternates;
+    /// 2. take each such function's model out of `scratch` and run
+    ///    `advance_model` → `predict_batch` → `revise_order` on it,
+    ///    through [`freedom_parallel::par_run`];
+    /// 3. sequentially put the models back and apply the revised orders
+    ///    and the `replanned` count in function order.
+    ///
+    /// A function's refit reads only its own log, batches, view and
+    /// seed and writes only its own model, so the result never depends
+    /// on `width` or on scheduling.
+    fn tick_with(
+        &self,
+        state: &mut ControlState,
+        scratch: &mut ControlScratch,
+        obs: &Observation<'_>,
+        plans: &[FunctionView],
+        width: usize,
+    ) -> u32 {
+        let mut refits = Vec::new();
+        for (f, view) in plans.iter().enumerate() {
+            let n_alts = view.alt_encodings.len();
+            if n_alts == 0 {
+                continue;
+            }
+            // Extend the observation log with alternates production
+            // traffic exercised for the first time this epoch (ascending
+            // index within the epoch, deterministically).
+            let log = &mut state.observed[f];
+            let before = log.len();
+            for (ai, &count) in obs.function_counts(f).iter().take(n_alts).enumerate() {
+                if count > 0 && !log.contains(&(ai as u8)) {
+                    log.push(ai as u8);
+                }
+            }
+            // Nothing new observed → the order stands.
+            let fresh = log.len() - before;
+            if fresh > 0 {
+                state.observed_batches[f].push(fresh as u8);
+                refits.push(f);
+            }
+        }
+        if refits.is_empty() {
+            return 0;
+        }
+
+        let models: Vec<Mutex<Option<Box<dyn Surrogate>>>> = refits
+            .iter()
+            .map(|&f| Mutex::new(scratch.model_slot(plans.len(), f).take()))
+            .collect();
+        let width = if refits.len() >= FANOUT_MIN_REFITS {
+            width
+        } else {
+            1
+        };
+        let planner = IdleCapacityPlanner::new(self.config.planner);
+        let (observed, batches) = (&state.observed, &state.observed_batches);
+        let revised = freedom_parallel::par_run(refits.len(), width, |k| {
+            let f = refits[k];
+            let mut slot = models[k].lock().expect("model slot poisoned").take();
+            let order = self.revise(&mut slot, &planner, &plans[f], &observed[f], &batches[f], f);
+            (slot, order)
+        });
+
+        let mut replanned = 0;
+        for (&f, (slot, order)) in refits.iter().zip(revised) {
+            *scratch.model_slot(plans.len(), f) = slot;
+            if let Some(order) = order {
+                if state.orders[f].as_deref() != Some(order.as_slice()) {
+                    replanned += 1;
+                    state.orders[f] = Some(order);
+                }
+            }
+        }
+        replanned
+    }
+
+    /// One function's refit: brings its model up to date with the log,
+    /// re-scores every alternate with one batched prediction, and lets
+    /// the planner's guardrail decide who stays and in what order.
+    /// `None` when fitting or predicting fails — the order then stands.
+    fn revise(
+        &self,
+        slot: &mut Option<Box<dyn Surrogate>>,
+        planner: &IdleCapacityPlanner,
+        view: &FunctionView,
+        log: &[u8],
+        batches: &[u8],
+        function: usize,
+    ) -> Option<Vec<u8>> {
+        let model = self.advance_model(slot, view, log, batches, function)?;
+        let predictions = model.predict_batch(&view.alt_encodings).ok()?;
+        let mut order = planner.revise_order(&predictions);
+        // Keep never-observed alternates explorable: append them in
+        // plan order behind the model-vetted ones.
+        for ai in (0..view.alt_encodings.len()).map(|ai| ai as u8) {
+            if !log.contains(&ai) && !order.contains(&ai) {
+                order.push(ai);
+            }
+        }
+        Some(order)
+    }
 }
 
 impl Controller for SurrogateRightSizer {
@@ -934,56 +1048,13 @@ impl Controller for SurrogateRightSizer {
         obs: &Observation<'_>,
         plans: &[FunctionView],
     ) -> u32 {
-        let planner = IdleCapacityPlanner::new(self.config.planner);
-        let mut replanned = 0;
-        for f in 0..plans.len() {
-            let view = &plans[f];
-            let n_alts = view.alt_encodings.len();
-            if n_alts == 0 {
-                continue;
-            }
-            // Extend the observation log with alternates production
-            // traffic exercised for the first time this epoch (ascending
-            // index within the epoch, deterministically).
-            let counts = obs.function_counts(f);
-            let log = &mut state.observed[f];
-            let before = log.len();
-            for (ai, &count) in counts.iter().take(n_alts).enumerate() {
-                if count > 0 && !log.contains(&(ai as u8)) {
-                    log.push(ai as u8);
-                }
-            }
-            let fresh = log.len() - before;
-            if fresh == 0 {
-                continue; // nothing new observed → the order stands
-            }
-            state.observed_batches[f].push(fresh as u8);
-            let log = state.observed[f].clone();
-            let batches = state.observed_batches[f].clone();
-            let Some(model) =
-                self.advance_model(scratch.model_slot(plans.len(), f), view, &log, &batches, f)
-            else {
-                continue;
-            };
-            // Batched acquisition over every alternate, then the
-            // planner's guardrail decides who stays and in what order.
-            let Ok(predictions) = model.predict_batch(&view.alt_encodings) else {
-                continue;
-            };
-            let mut order = planner.revise_order(&predictions);
-            // Keep never-observed alternates explorable: append them in
-            // plan order behind the model-vetted ones.
-            for ai in 0..n_alts as u8 {
-                if !log.contains(&ai) && !order.contains(&ai) {
-                    order.push(ai);
-                }
-            }
-            if state.orders[f].as_deref() != Some(order.as_slice()) {
-                replanned += 1;
-                state.orders[f] = Some(order);
-            }
-        }
-        replanned
+        self.tick_with(
+            state,
+            scratch,
+            obs,
+            plans,
+            freedom_parallel::available_threads(),
+        )
     }
 }
 
@@ -1207,6 +1278,73 @@ mod tests {
             control_state_eq(&incremental, &carried),
             "reconstructed state diverged:\n{incremental:?}\nvs\n{carried:?}"
         );
+    }
+
+    /// A tick fanned out over two threads leaves exactly the state and
+    /// `replanned` count of a sequential tick, over a seeded observation
+    /// sequence whose ticks refit both fewer and more functions than
+    /// [`FANOUT_MIN_REFITS`] — including a tick on a fresh scratch that
+    /// rebuilds every model from its log in parallel.
+    #[test]
+    fn fanned_out_ticks_match_sequential_ticks() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(7);
+        let point = |rng: &mut StdRng| (0..4).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let views: Vec<FunctionView> = (0..12)
+            .map(|f| {
+                let n_alts = 3 + f % 4;
+                FunctionView {
+                    best_encoding: point(&mut rng),
+                    alt_encodings: (0..n_alts).map(|_| point(&mut rng)).collect(),
+                    alt_inflations: (0..n_alts).map(|_| rng.gen_range(1.0..1.6)).collect(),
+                }
+            })
+            .collect();
+        let offsets: Vec<u32> = std::iter::once(0)
+            .chain(views.iter().scan(0, |end, v| {
+                *end += v.alt_encodings.len() as u32 + 1;
+                Some(*end)
+            }))
+            .collect();
+        let ctl = SurrogateRightSizer::new(RightSizerConfig::default());
+        let (mut seq, mut fanned) = (
+            ctl.init(AdmissionPolicy::Greedy, views.len()),
+            ctl.init(AdmissionPolicy::Greedy, views.len()),
+        );
+        let (mut seq_scratch, mut fanned_scratch) =
+            (ControlScratch::default(), ControlScratch::default());
+        let (mut wide_ticks, mut narrow_ticks, mut replanned_total) = (0, 0, 0);
+        let mut accum = ObsAccum::zero(*offsets.last().unwrap() as usize);
+        for tick in 0..12 {
+            accum.reset();
+            for c in &mut accum.per_function {
+                *c = u32::from(rng.gen_range(0.0..1.0) < 0.12);
+            }
+            let obs = obs_with(&accum, &offsets, 0.5);
+            let batches_before: usize = seq.observed_batches.iter().map(Vec::len).sum();
+            if tick == 6 {
+                fanned_scratch = ControlScratch::default();
+            }
+            let a = ctl.tick_with(&mut seq, &mut seq_scratch, &obs, &views, 1);
+            let b = ctl.tick_with(&mut fanned, &mut fanned_scratch, &obs, &views, 2);
+            assert_eq!(a, b, "tick {tick}: replanned differs");
+            assert!(
+                control_state_eq(&seq, &fanned),
+                "tick {tick}: state diverged"
+            );
+            let refits = seq.observed_batches.iter().map(Vec::len).sum::<usize>() - batches_before;
+            if refits >= FANOUT_MIN_REFITS {
+                wide_ticks += 1;
+            } else if refits > 0 {
+                narrow_ticks += 1;
+            }
+            replanned_total += a;
+        }
+        assert!(wide_ticks > 0, "no tick fanned out");
+        assert!(narrow_ticks > 0, "no tick refit below the fan-out minimum");
+        assert!(replanned_total > 0, "no tick revised an order");
     }
 
     #[test]

@@ -1254,7 +1254,16 @@ impl FleetSimulator {
         let mut obs_offsets = Vec::with_capacity(self.plans.len() + 1);
         obs_offsets.push(0u32);
         let mut best_duration_nanos = Vec::with_capacity(self.plans.len());
-        for plan in &self.plans {
+        for (f, plan) in self.plans.iter().enumerate() {
+            // Control state and placement orders index accepted
+            // alternates as `u8`.
+            let accepted = plan.alternates.iter().filter(|a| a.accepted).count();
+            if accepted > usize::from(u8::MAX) {
+                return Err(FreedomError::InvalidArgument(format!(
+                    "plan {f} has {accepted} accepted alternates, more than the {} a fleet supports",
+                    u8::MAX
+                )));
+            }
             let best = plan.table.lookup(&plan.best_config).ok_or_else(|| {
                 FreedomError::InsufficientData("best config missing in table".into())
             })?;
@@ -1594,6 +1603,7 @@ impl<R: Recorder> WindowSim<'_, R> {
     /// closed epoch's observation, records the telemetry sample, and
     /// opens the next epoch.
     fn fire_tick(&mut self, at: u64) {
+        let started = if R::ENABLED { self.rec.now_nanos() } else { 0 };
         let utilization = self.ledger.utilization();
         let obs = Observation {
             tick: self.next_tick as u32,
@@ -1638,6 +1648,8 @@ impl<R: Recorder> WindowSim<'_, R> {
                 at,
                 self.next_tick,
             );
+            self.rec
+                .span_wall(tel::Span::TickWork, started, u64::from(replanned));
         }
         self.accum.reset();
         self.next_tick += 1;
@@ -3475,6 +3487,35 @@ mod tests {
         // A mis-sized fleet is rejected.
         let small = StreamTrace::generate(source, 3, 30.0, 1).unwrap();
         assert!(stream(&sim, &small, PlacementStrategy::IdleAware, &config).is_err());
+    }
+
+    #[test]
+    fn plans_with_more_than_255_accepted_alternates_are_rejected() {
+        let mut plans = make_plans(1);
+        let accepted: Vec<_> = plans[0]
+            .alternates
+            .iter()
+            .filter(|a| a.accepted)
+            .cloned()
+            .collect();
+        assert!(!accepted.is_empty());
+        let trace = Trace::poisson(10.0, 0.5, 1).unwrap();
+        let config = FleetConfig::default();
+        for (n, ok) in [(255, true), (256, false), (300, false)] {
+            plans[0].alternates = accepted.iter().cycle().take(n).cloned().collect();
+            let sim = FleetSimulator::new(plans.clone()).unwrap();
+            for strategy in PlacementStrategy::ALL {
+                let result = sim.run(&trace, strategy, &config);
+                if ok {
+                    assert!(result.is_ok(), "{n} alternates: {result:?}");
+                } else {
+                    assert!(
+                        matches!(result, Err(FreedomError::InvalidArgument(_))),
+                        "{n} alternates must be rejected"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //!   exactly this diagonal);
 //! - [`Cholesky::solve_lower_multi`] forward-substitutes many right-hand
 //!   sides in one pass over the factor (batched GP prediction).
+//!
+//! Each kernel has one implementation that works in caller-provided
+//! buffers — [`cholesky_into`], [`Cholesky::solve_into`],
+//! [`Cholesky::inv_diag_into`] — and the allocating APIs are thin
+//! wrappers over it, so a hyperparameter search can score hundreds of
+//! candidate kernels without allocating and still get the wrappers'
+//! bits.
 
 use crate::{LinalgError, Matrix, Result};
 
@@ -61,6 +68,16 @@ pub struct Cholesky {
     jitter_used: f64,
 }
 
+/// An empty (0 × 0) factor: storage for [`cholesky_into`] to fill.
+impl Default for Cholesky {
+    fn default() -> Self {
+        Self {
+            l: Matrix::zeros(0, 0),
+            jitter_used: 0.0,
+        }
+    }
+}
+
 impl Cholesky {
     /// The lower-triangular factor.
     pub fn factor(&self) -> &Matrix {
@@ -83,10 +100,16 @@ impl Cholesky {
     /// length.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         let mut y = vec![0.0; self.l.rows()];
-        self.solve_lower_into(b, &mut y)?;
         let mut x = vec![0.0; self.l.rows()];
-        self.solve_upper_into(&y, &mut x)?;
+        self.solve_into(b, &mut y, &mut x)?;
         Ok(x)
+    }
+
+    /// [`Cholesky::solve`] into caller-provided buffers: `y` receives the
+    /// forward-substitution intermediate `L⁻¹ b`, `x` the solution.
+    pub fn solve_into(&self, b: &[f64], y: &mut [f64], x: &mut [f64]) -> Result<()> {
+        self.solve_lower_into(b, y)?;
+        self.solve_upper_into(y, x)
     }
 
     /// Solves `L y = b` (forward substitution).
@@ -172,10 +195,28 @@ impl Cholesky {
     /// GP's leave-one-out score needs on every candidate fit.
     pub fn inv_diag(&self) -> Vec<f64> {
         let n = self.l.rows();
+        let mut w = vec![0.0; n * n];
+        let mut out = vec![0.0; n];
+        self.inv_diag_into(&mut w, &mut out)
+            .expect("buffers sized to the factor");
+        out
+    }
+
+    /// [`Cholesky::inv_diag`] into caller-provided buffers: `w` (n × n)
+    /// holds the triangular inverse as scratch, `out` (n) receives the
+    /// diagonal. Only `w`'s lower triangle is written, and every entry is
+    /// written before it is read, so `w` needs no clearing between calls.
+    pub fn inv_diag_into(&self, w: &mut [f64], out: &mut [f64]) -> Result<()> {
+        let n = self.l.rows();
+        if w.len() != n * n || out.len() != n {
+            return Err(LinalgError::DimensionMismatch {
+                expected: format!("buffers of length {} and {n}", n * n),
+                found: format!("lengths {} and {}", w.len(), out.len()),
+            });
+        }
         let l = self.l.as_slice();
         // W is built column by column; w[k] holds W[j..=k][j] for the
         // current column j compacted at its natural indices.
-        let mut w = vec![0.0; n * n];
         for j in 0..n {
             w[j * n + j] = 1.0 / l[j * n + j];
             for i in (j + 1)..n {
@@ -187,9 +228,10 @@ impl Cholesky {
                 w[i * n + j] = -s / l[i * n + i];
             }
         }
-        (0..n)
-            .map(|i| (i..n).map(|k| w[k * n + i] * w[k * n + i]).sum())
-            .collect()
+        for (i, d) in out.iter_mut().enumerate() {
+            *d = (i..n).map(|k| w[k * n + i] * w[k * n + i]).sum();
+        }
+        Ok(())
     }
 
     /// Log-determinant of `A`, i.e. `2 Σ log L[i][i]`.
@@ -254,6 +296,22 @@ impl Cholesky {
 /// routine escalates jitter by ×10 up to `1e-2 · mean(diag)` before
 /// returning [`LinalgError::NotPositiveDefinite`].
 pub fn cholesky(a: &Matrix, initial_jitter: f64) -> Result<Cholesky> {
+    let mut out = Cholesky::default();
+    cholesky_into(a, initial_jitter, &mut out)?;
+    Ok(out)
+}
+
+/// [`cholesky`] into an existing factor's storage, so a caller that
+/// factorizes many same-sized matrices (the GP's hyperparameter search)
+/// allocates nothing per factorization.
+///
+/// `out` is reused when its dimension matches `a` and replaced by a
+/// zeroed n × n factor otherwise. Only the lower triangle is ever
+/// written, so the upper triangle stays zero across reuses, and every
+/// entry of a row is written before it is read — the result is bit for
+/// bit what a fresh [`cholesky`] returns. On error `out` holds partial
+/// rows and must not be used as a factor.
+pub fn cholesky_into(a: &Matrix, initial_jitter: f64, out: &mut Cholesky) -> Result<()> {
     let n = a.rows();
     if n != a.cols() {
         return Err(LinalgError::DimensionMismatch {
@@ -264,17 +322,18 @@ pub fn cholesky(a: &Matrix, initial_jitter: f64) -> Result<Cholesky> {
     if n == 0 {
         return Err(LinalgError::Empty);
     }
+    if out.l.rows() != n {
+        out.l = Matrix::zeros(n, n);
+    }
     let ad = a.as_slice();
     let mean_diag = (0..n).map(|i| ad[i * n + i].abs()).sum::<f64>() / n as f64;
     let max_jitter = (1e-2 * mean_diag).max(1e-10);
     let mut jitter = initial_jitter;
     loop {
-        match try_factorize(a, jitter) {
-            Ok(l) => {
-                return Ok(Cholesky {
-                    l,
-                    jitter_used: jitter,
-                })
+        match try_factorize(a, jitter, &mut out.l) {
+            Ok(()) => {
+                out.jitter_used = jitter;
+                return Ok(());
             }
             Err(_) if jitter < max_jitter => {
                 jitter = if jitter == 0.0 { 1e-10 } else { jitter * 10.0 };
@@ -286,10 +345,9 @@ pub fn cholesky(a: &Matrix, initial_jitter: f64) -> Result<Cholesky> {
 
 /// One Cholesky–Crout pass over the flat buffer. Row i is computed from
 /// rows 0..i only (which is what makes [`Cholesky::append_row`] exact).
-fn try_factorize(a: &Matrix, jitter: f64) -> Result<Matrix> {
+fn try_factorize(a: &Matrix, jitter: f64, l: &mut Matrix) -> Result<()> {
     let n = a.rows();
     let ad = a.as_slice();
-    let mut l = Matrix::zeros(n, n);
     let ld = l.as_mut_slice();
     for i in 0..n {
         // Split so row i is writable while rows 0..i stay readable.
@@ -306,7 +364,7 @@ fn try_factorize(a: &Matrix, jitter: f64) -> Result<Matrix> {
         }
         row_i[i] = d.sqrt();
     }
-    Ok(l)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -470,6 +528,40 @@ mod tests {
         }
         let bad = Matrix::zeros(2, 5);
         assert!(ch.solve_lower_multi(&bad).is_err());
+    }
+
+    /// The buffer-taking kernels reproduce the allocating ones bit for
+    /// bit while reusing one factor across matrices — including after a
+    /// jitter-ladder factorization and after a failed one left partial
+    /// rows behind.
+    #[test]
+    fn into_kernels_reuse_storage_bit_identically() {
+        let n = 7;
+        let ones = Matrix::from_vec(n, n, vec![1.0; n * n]).unwrap();
+        let indefinite = {
+            let mut m = spd(n);
+            m.set(3, 3, -1.0);
+            m
+        };
+        let mut chol = Cholesky::default();
+        let (mut y, mut x) = (vec![0.0; n], vec![0.0; n]);
+        let (mut w, mut d) = (vec![0.0; n * n], vec![0.0; n]);
+        let b: Vec<f64> = (0..n).map(|i| i as f64 - 2.5).collect();
+        for a in [spd(n), ones, indefinite, spd(n)] {
+            let Ok(fresh) = cholesky(&a, 0.0) else {
+                assert!(cholesky_into(&a, 0.0, &mut chol).is_err());
+                continue;
+            };
+            cholesky_into(&a, 0.0, &mut chol).unwrap();
+            assert_eq!(chol.factor(), fresh.factor());
+            assert_eq!(chol.jitter_used().to_bits(), fresh.jitter_used().to_bits());
+            chol.solve_into(&b, &mut y, &mut x).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x), bits(&fresh.solve(&b).unwrap()));
+            chol.inv_diag_into(&mut w, &mut d).unwrap();
+            assert_eq!(bits(&d), bits(&fresh.inv_diag()));
+        }
+        assert!(chol.inv_diag_into(&mut w[1..], &mut d).is_err());
     }
 
     #[test]

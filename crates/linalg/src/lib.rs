@@ -25,7 +25,7 @@ mod matrix;
 pub mod normal;
 pub mod stats;
 
-pub use cholesky::{cholesky, Cholesky};
+pub use cholesky::{cholesky, cholesky_into, Cholesky};
 pub use error::LinalgError;
 pub use lu::{lu_solve, LuFactors};
 pub use matrix::Matrix;

@@ -3,12 +3,21 @@
 //! [`par_run`] is the one parallel primitive the workspace uses: it fans
 //! `f(0..n)` across a bounded set of OS threads and returns the results
 //! in index order, bit-identical to the sequential `(0..n).map(f)`.
-//! Both the experiment kernels (repeat/function/objective loops) and the
-//! fleet simulator's per-function trace shards build on it, so the
-//! worker budget lives here, below both crates.
+//! The experiment kernels (repeat/function/objective loops), the trace
+//! generators' per-function shards and the fleet right-sizer's per-tick
+//! refits all build on it, so the worker budget lives here, below every
+//! crate that fans out.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+
+/// The machine's available parallelism (1 when unknown), read once per
+/// process: the query reads cgroup files on Linux, too slow to repeat on
+/// a hot path.
+pub fn available_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()))
+}
 
 /// Runs `f(i)` for every `i in 0..n`, fanned out over `threads` workers,
 /// and returns the results in index order.
@@ -20,54 +29,64 @@ use std::sync::Mutex;
 /// scheduling. Callers achieve determinism by giving each index its own
 /// seed.
 ///
+/// The calling thread is one of the workers: a fan-out over `threads`
+/// spawns at most `threads − 1` scoped threads and works through the
+/// index queue alongside them, so a caller that would otherwise block in
+/// the join costs no extra thread (and no extra stack). `threads ≤ 1` or
+/// `n ≤ 1` runs inline without touching the budget below.
+///
 /// Panics in `f` propagate (the scope joins all workers first).
 ///
 /// Callers nest these fan-outs (functions × inputs × repetitions, sweep
-/// points × trace shards); a process-wide live-worker budget of 2× the
-/// core count keeps nested levels from multiplying into hundreds of OS
-/// threads — once the budget is spent, inner levels simply run
-/// sequentially inside their worker, which changes scheduling but never
-/// results.
+/// points × trace shards, sweep cells × right-sizer refits); a
+/// process-wide budget of 2× the core count spawned threads keeps nested
+/// levels from multiplying into hundreds of OS threads — once the budget
+/// is spent, inner levels simply run on their caller, which changes
+/// scheduling but never results.
 pub fn par_run<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
+    static SPAWNED: AtomicUsize = AtomicUsize::new(0);
     // Release reserved budget even if a worker panics out of the scope.
     struct Release(usize);
     impl Drop for Release {
         fn drop(&mut self) {
-            LIVE_WORKERS.fetch_sub(self.0, Ordering::Relaxed);
+            SPAWNED.fetch_sub(self.0, Ordering::Relaxed);
         }
     }
-    let budget = 2 * std::thread::available_parallelism().map_or(1, |c| c.get());
+    let want = threads.min(n).saturating_sub(1);
+    if want == 0 {
+        return (0..n).map(f).collect();
+    }
     // Reserve atomically (fetch_add first, clamp on the prior value) so
     // concurrent top-level calls cannot each claim the full budget.
-    let desired = threads.max(1).min(n.max(1));
-    let prior = LIVE_WORKERS.fetch_add(desired, Ordering::Relaxed);
-    let allowed = desired.min(budget.saturating_sub(prior).max(1));
-    if allowed < desired {
-        LIVE_WORKERS.fetch_sub(desired - allowed, Ordering::Relaxed);
+    let budget = 2 * available_threads();
+    let prior = SPAWNED.fetch_add(want, Ordering::Relaxed);
+    let spawn = want.min(budget.saturating_sub(prior));
+    if spawn < want {
+        SPAWNED.fetch_sub(want - spawn, Ordering::Relaxed);
     }
-    let _release = Release(allowed);
-    let threads = allowed;
-    if threads == 1 || n <= 1 {
+    let _release = Release(spawn);
+    if spawn == 0 {
         return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = f(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(value);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let value = f(i);
+        *slots[i].lock().expect("result slot poisoned") = Some(value);
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..spawn {
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()
@@ -113,5 +132,29 @@ mod tests {
             .map(|i| (0..6).map(|j| i * 10 + j).collect())
             .collect();
         assert_eq!(outer, expected);
+    }
+
+    /// The caller counts as a worker: at most `threads` distinct threads
+    /// ever run `f`, and a single-thread fan-out runs on the caller only.
+    #[test]
+    fn at_most_threads_workers_run_f_caller_included() {
+        use std::collections::HashSet;
+        for threads in [1, 2, 3, 8] {
+            let seen = Mutex::new(HashSet::new());
+            par_run(64, threads, |i| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                std::thread::sleep(std::time::Duration::from_micros(100));
+                i
+            });
+            let seen = seen.into_inner().unwrap();
+            assert!(
+                !seen.is_empty() && seen.len() <= threads,
+                "threads = {threads}: {} distinct workers",
+                seen.len()
+            );
+            if threads == 1 {
+                assert!(seen.contains(&std::thread::current().id()));
+            }
+        }
     }
 }

@@ -29,11 +29,40 @@
 //!
 //! [`Surrogate::fit`] always takes the full path and resets the schedule,
 //! so one-shot users see the original from-scratch behavior.
+//!
+//! # The search workspace
+//!
+//! A full search scores about a hundred candidates — the fixed ones, the
+//! random draws, and two coordinate-ascent passes of four moves per
+//! hyperparameter. Each score is the LOO likelihood of one kernel
+//! factorization plus the log-prior. One `Search` workspace per search
+//! holds every buffer those scores need (kernel, factor, forward solve,
+//! `α`, triangular inverse, `K⁻¹` diagonal), so scoring a candidate
+//! allocates nothing, and it skips work a candidate shares with the one
+//! before it. Every shortcut is exact, so the winner and its factor are
+//! bit for bit what rebuilding everything per candidate would give:
+//!
+//! - the pairwise differences `x_i[d] − x_j[d]` are computed once; the
+//!   per-dimension terms `(diff / l_d)²` are cached under the bits of
+//!   `l_d`, so a lengthscale move recomputes one dimension;
+//! - a pair's Matérn value is recomputed — its terms re-added in
+//!   dimension order, as before — only when one of its terms changed
+//!   bits, so a move on a one-hot dimension skips every pair that agrees
+//!   in it (`(0 / l)²` is 0 under any lengthscale);
+//! - signal and noise moves leave every lengthscale's bits alone and
+//!   reuse the pairs' Matérn values unchanged;
+//! - the diagonal is `σ_f² + σ_n² + floor` directly: `matern52(0)` is
+//!   exactly 1, so `σ_f² · matern52(0)` is `σ_f²`;
+//! - the prior's `ln` terms are cached under the hyperparameter bits;
+//! - a refine move the clamp maps back onto the incumbent's value is not
+//!   scored: it would tie, and only a strict improvement is kept;
+//! - the winner's factor and `α` are the buffers it was scored in,
+//!   swapped aside whenever a candidate takes the lead.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use freedom_linalg::{cholesky, Cholesky, Matrix};
+use freedom_linalg::{cholesky_into, Cholesky, Matrix};
 
 use crate::{validate_training_set, Prediction, Surrogate, SurrogateError};
 
@@ -192,23 +221,10 @@ impl GaussianProcess {
         hp.signal_var * Self::matern52(Self::scaled_distance(hp, a, b))
     }
 
-    fn kernel_matrix(hp: &Hyperparams, x: &Matrix, noise_floor: f64) -> Matrix {
-        let n = x.rows();
-        let mut k = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let v = Self::kernel_value(hp, x.row(i), x.row(j));
-                k.set(i, j, v);
-                k.set(j, i, v);
-            }
-            k.set(i, i, k.get(i, i) + hp.noise_var + noise_floor);
-        }
-        k
-    }
-
-    /// The noisy kernel diagonal entry `k(x, x) + σ_n² + floor`, computed
-    /// through the same code path as [`Self::kernel_matrix`] so the
-    /// incremental append stays bit-identical to a full rebuild.
+    /// The noisy kernel diagonal entry `k(x, x) + σ_n² + floor`. The
+    /// incremental append uses it; since `matern52(0)` is exactly 1 it
+    /// equals the [`Search`] diagonal `σ_f² + σ_n² + floor` bit for bit,
+    /// which keeps an appended factor identical to a full one.
     fn kernel_diag(hp: &Hyperparams, row: &[f64], noise_floor: f64) -> f64 {
         Self::kernel_value(hp, row, row) + hp.noise_var + noise_floor
     }
@@ -219,91 +235,44 @@ impl GaussianProcess {
         -0.5 * fit_term - 0.5 * chol.log_det() - 0.5 * n * (2.0 * std::f64::consts::PI).ln()
     }
 
-    /// Weak log-normal prior over the hyperparameters, centred on the
-    /// normalized-feature defaults. Pure maximum likelihood occasionally
+    /// One term of the weak log-normal prior over the hyperparameters,
+    /// centred on the normalized-feature defaults: the log-prior is
+    /// `0 − term(l₀) − … − term(l_d) − term(σ_f²) − term_noise(σ_n²)`,
+    /// subtracted in that order. Pure maximum likelihood occasionally
     /// prefers a degenerate fit (tiny lengthscale + tiny noise) whose
     /// extrapolations are wild; the prior makes selection MAP-flavoured
     /// without forbidding extreme values when the data really supports
     /// them.
-    fn log_prior(hp: &Hyperparams) -> f64 {
+    fn prior_term(value: f64, noise: bool) -> f64 {
         // σ = ln(10): one decade of lengthscale costs 0.5 nats.
         let sigma2 = std::f64::consts::LN_10.powi(2);
-        let mut lp = 0.0;
-        for &l in &hp.lengthscales {
-            lp -= l.ln().powi(2) / (2.0 * sigma2);
+        if noise {
+            // Noise prior centred on 1e-3 of the (standardized) signal.
+            (value.ln() - (1e-3f64).ln()).powi(2) / (2.0 * sigma2 * 4.0)
+        } else {
+            value.ln().powi(2) / (2.0 * sigma2)
         }
-        lp -= hp.signal_var.ln().powi(2) / (2.0 * sigma2);
-        // Noise prior centred on 1e-3 of the (standardized) signal.
-        lp -= (hp.noise_var.ln() - (1e-3f64).ln()).powi(2) / (2.0 * sigma2 * 4.0);
-        lp
     }
 
     /// Leave-one-out predictive log-likelihood (Rasmussen & Williams,
-    /// Eq. 5.10–5.12): `μ₋ᵢ = yᵢ − αᵢ/K⁻¹ᵢᵢ`, `σ₋ᵢ² = 1/K⁻¹ᵢᵢ`.
+    /// Eq. 5.10–5.12): `μ₋ᵢ = yᵢ − αᵢ/K⁻¹ᵢᵢ`, `σ₋ᵢ² = 1/K⁻¹ᵢᵢ`, from
+    /// `α = K⁻¹y` and the diagonal `kinv` of `K⁻¹`.
     ///
     /// Selecting hyperparameters by LOO rather than marginal likelihood is
     /// markedly more robust when the kernel is misspecified — which these
     /// performance surfaces guarantee — because it scores *predictions*,
     /// not data fit. The `K⁻¹` diagonal comes from one O(n³/6) triangular
-    /// inversion ([`Cholesky::inv_diag`]) instead of n basis solves.
-    fn loo_log_likelihood(chol: &Cholesky, alpha: &[f64]) -> Option<f64> {
-        let kinv = chol.inv_diag();
+    /// inversion ([`Cholesky::inv_diag_into`]) instead of n basis solves.
+    fn loo_log_likelihood(kinv: &[f64], alpha: &[f64]) -> Option<f64> {
         let n = alpha.len() as f64;
         let mut score = -0.5 * n * (2.0 * std::f64::consts::PI).ln();
-        for (a, kii) in alpha.iter().zip(&kinv) {
+        for (a, kii) in alpha.iter().zip(kinv) {
             if *kii <= 0.0 {
                 return None;
             }
             score += 0.5 * kii.ln() - 0.5 * a * a / kii;
         }
         Some(score)
-    }
-
-    fn try_fit(
-        hp: &Hyperparams,
-        x: &Matrix,
-        y: &[f64],
-        noise_floor: f64,
-    ) -> Option<(Cholesky, Vec<f64>, f64)> {
-        let k = Self::kernel_matrix(hp, x, noise_floor);
-        let chol = cholesky(&k, 0.0).ok()?;
-        let alpha = chol.solve(y).ok()?;
-        let score = Self::loo_log_likelihood(&chol, &alpha)? + Self::log_prior(hp);
-        score.is_finite().then_some((chol, alpha, score))
-    }
-
-    /// One-at-a-time multiplicative moves on every hyperparameter, kept
-    /// when the LOO score improves.
-    fn refine(
-        start: (Hyperparams, Cholesky, Vec<f64>, f64),
-        x: &Matrix,
-        y: &[f64],
-        noise_floor: f64,
-        passes: usize,
-    ) -> (Hyperparams, Cholesky, Vec<f64>, f64) {
-        let mut best = start;
-        let factors = [0.25, 0.5, 2.0, 4.0];
-        for _ in 0..passes {
-            let n_params = best.0.lengthscales.len() + 2;
-            for p in 0..n_params {
-                for &f in &factors {
-                    let mut hp = best.0.clone();
-                    if p < hp.lengthscales.len() {
-                        hp.lengthscales[p] = (hp.lengthscales[p] * f).clamp(1e-2, 1e2);
-                    } else if p == hp.lengthscales.len() {
-                        hp.signal_var = (hp.signal_var * f).clamp(1e-3, 1e3);
-                    } else {
-                        hp.noise_var = (hp.noise_var * f).clamp(1e-9, 1.0);
-                    }
-                    if let Some((chol, alpha, score)) = Self::try_fit(&hp, x, y, noise_floor) {
-                        if score > best.3 {
-                            best = (hp, chol, alpha, score);
-                        }
-                    }
-                }
-            }
-        }
-        best
     }
 
     /// Per-dimension median of pairwise absolute distances — the standard
@@ -380,6 +349,7 @@ impl GaussianProcess {
 
     /// The full candidate search + refinement, optionally warm-started
     /// with the previous fit's hyperparameters as an extra candidate.
+    /// Every candidate is scored through one [`Search`] workspace.
     fn full_fit(
         &mut self,
         x_norm: Matrix,
@@ -389,14 +359,13 @@ impl GaussianProcess {
         warm: Option<Hyperparams>,
     ) -> crate::Result<()> {
         let dim = x_norm.cols();
-        let y = &targets.y_standardized;
+        let mut search = Search::new(&x_norm, &targets.y_standardized, self.config.noise_floor);
 
         // Candidate 0 is a sensible default, candidate 1 the classic
         // median-distance heuristic (robust when random draws all land
         // badly), candidate 2 the previous fit's winner when warm; the
         // rest are random draws in log space. The best LOO score wins.
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut best: Option<(Hyperparams, Cholesky, Vec<f64>, f64)> = None;
         let fixed: Vec<Hyperparams> = [
             Some(Hyperparams {
                 lengthscales: vec![1.0; dim],
@@ -413,47 +382,70 @@ impl GaussianProcess {
         .into_iter()
         .flatten()
         .collect();
-        let n_random = self.config.candidates;
-        for c in 0..(fixed.len() + n_random) {
-            let hp = if c < fixed.len() {
-                fixed[c].clone()
+        let mut cand = fixed[0].clone();
+        let mut best_hp = fixed[0].clone();
+        let mut best_score: Option<f64> = None;
+        for c in 0..(fixed.len() + self.config.candidates) {
+            if c < fixed.len() {
+                cand.copy_from(&fixed[c]);
             } else {
-                Hyperparams {
-                    lengthscales: (0..dim)
-                        .map(|_| 10f64.powf(rng.gen_range(-1.0..1.0)))
-                        .collect(),
-                    signal_var: 10f64.powf(rng.gen_range(-0.5..0.5)),
-                    noise_var: 10f64.powf(rng.gen_range(-6.0..-1.0)),
+                for l in &mut cand.lengthscales {
+                    *l = 10f64.powf(rng.gen_range(-1.0..1.0));
                 }
-            };
-            if let Some((chol, alpha, score)) =
-                Self::try_fit(&hp, &x_norm, y, self.config.noise_floor)
-            {
-                let better = best.as_ref().map(|b| score > b.3).unwrap_or(true);
-                if better {
-                    best = Some((hp, chol, alpha, score));
+                cand.signal_var = 10f64.powf(rng.gen_range(-0.5..0.5));
+                cand.noise_var = 10f64.powf(rng.gen_range(-6.0..-1.0));
+            }
+            if let Some(score) = search.score(&cand) {
+                if best_score.is_none_or(|b| score > b) {
+                    best_hp.copy_from(&cand);
+                    best_score = Some(score);
+                    search.keep();
                 }
             }
         }
-        let best = best.ok_or(SurrogateError::Linalg(
+        let mut best_score = best_score.ok_or(SurrogateError::Linalg(
             freedom_linalg::LinalgError::NotPositiveDefinite,
         ))?;
 
-        // Coordinate ascent on the LOO score around the winner: a cheap,
-        // deterministic stand-in for skopt's L-BFGS restarts.
-        let (hp, chol, alpha, _) = Self::refine(
-            best,
-            &x_norm,
-            y,
-            self.config.noise_floor,
-            self.config.refine_passes,
-        );
+        // Coordinate ascent on the LOO score around the winner — one-at-
+        // a-time multiplicative moves on every hyperparameter, kept when
+        // the score strictly improves: a cheap, deterministic stand-in
+        // for skopt's L-BFGS restarts. A move the clamp maps back onto
+        // the incumbent's value would score a tie, which `>` never
+        // accepts, so it is skipped unscored.
+        for _ in 0..self.config.refine_passes {
+            for p in 0..dim + 2 {
+                for f in [0.25, 0.5, 2.0, 4.0] {
+                    cand.copy_from(&best_hp);
+                    let (value, lo, hi) = if p < dim {
+                        (&mut cand.lengthscales[p], 1e-2, 1e2)
+                    } else if p == dim {
+                        (&mut cand.signal_var, 1e-3, 1e3)
+                    } else {
+                        (&mut cand.noise_var, 1e-9, 1.0)
+                    };
+                    let moved = (*value * f).clamp(lo, hi);
+                    if moved.to_bits() == value.to_bits() {
+                        continue;
+                    }
+                    *value = moved;
+                    if let Some(score) = search.score(&cand) {
+                        if score > best_score {
+                            best_hp.copy_from(&cand);
+                            best_score = score;
+                            search.keep();
+                        }
+                    }
+                }
+            }
+        }
+        let (chol, alpha) = search.into_best();
         self.fitted = Some(Fitted {
             x: x_norm,
             chol,
             alpha,
             y_std_targets: targets.y_standardized,
-            hp,
+            hp: best_hp,
             y_mean: targets.y_mean,
             y_std: targets.y_std,
             feat_lo,
@@ -497,6 +489,177 @@ impl GaussianProcess {
             && prev.feat_lo == lo
             && prev.feat_span == span
             && x_norm.as_slice()[..n_prev * dim] == *prev.x.as_slice()
+    }
+}
+
+impl Hyperparams {
+    /// Overwrites `self` with `other` in place (same dimension), so the
+    /// search's candidate and incumbent buffers never reallocate.
+    fn copy_from(&mut self, other: &Hyperparams) {
+        self.lengthscales.copy_from_slice(&other.lengthscales);
+        self.signal_var = other.signal_var;
+        self.noise_var = other.noise_var;
+    }
+}
+
+/// One full hyperparameter search's workspace: scores candidates with
+/// exactly the arithmetic of building the kernel matrix, factorizing it,
+/// solving for `α` and inverting the diagonal from scratch, but without
+/// allocating per candidate and without redoing work a refine move
+/// leaves unchanged (see the module docs for why each reuse is exact).
+struct Search<'a> {
+    n: usize,
+    dim: usize,
+    y: &'a [f64],
+    noise_floor: f64,
+    /// Pairwise feature differences `x_i[d] − x_j[d]` for `j < i`,
+    /// pair-major (`p·dim + d`, pairs in `kernel` fill order).
+    diffs: Vec<f64>,
+    /// Scaled terms `((x_i[d] − x_j[d]) / l_d)²`, dimension-major
+    /// (`d·pairs + p`).
+    scaled: Vec<f64>,
+    /// The lengthscale bits each dimension's scaled terms were computed
+    /// under (`None` = never computed).
+    scaled_for: Vec<Option<u64>>,
+    /// Matérn-5/2 value of every pair under the lengthscales recorded in
+    /// `scaled_for`, except where `dirty`.
+    matern: Vec<f64>,
+    /// Pairs with a scaled term whose bits changed since their Matérn
+    /// value was computed.
+    dirty: Vec<bool>,
+    /// Prior terms keyed by hyperparameter bits: lengthscales, σ_f², σ_n².
+    prior: Vec<Option<(u64, f64)>>,
+    k: Matrix,
+    chol: Cholesky,
+    fwd: Vec<f64>,
+    alpha: Vec<f64>,
+    w: Vec<f64>,
+    kinv: Vec<f64>,
+    /// Factor and `α` of the best candidate [`Search::keep`] saw.
+    best_chol: Cholesky,
+    best_alpha: Vec<f64>,
+}
+
+impl<'a> Search<'a> {
+    fn new(x: &Matrix, y: &'a [f64], noise_floor: f64) -> Self {
+        let (n, dim) = (x.rows(), x.cols());
+        let pairs = n * n.saturating_sub(1) / 2;
+        let mut diffs = Vec::with_capacity(pairs * dim);
+        for i in 0..n {
+            for j in 0..i {
+                diffs.extend(x.row(i).iter().zip(x.row(j)).map(|(a, b)| a - b));
+            }
+        }
+        Self {
+            n,
+            dim,
+            y,
+            noise_floor,
+            diffs,
+            scaled: vec![0.0; dim * pairs],
+            scaled_for: vec![None; dim],
+            matern: vec![0.0; pairs],
+            dirty: vec![true; pairs],
+            prior: vec![None; dim + 2],
+            k: Matrix::zeros(n, n),
+            chol: Cholesky::default(),
+            fwd: vec![0.0; n],
+            alpha: vec![0.0; n],
+            w: vec![0.0; n * n],
+            kinv: vec![0.0; n],
+            best_chol: Cholesky::default(),
+            best_alpha: vec![0.0; n],
+        }
+    }
+
+    /// Fills `k` with `K + (σ_n² + floor) I` for `hp`. Only dimensions
+    /// whose lengthscale changed since the last call are rescaled, and
+    /// only pairs with a scaled term whose bits changed get a new
+    /// Matérn value — a pair that does not differ in a dimension keeps
+    /// its `(0 / l)² = 0` term under every lengthscale.
+    fn kernel(&mut self, hp: &Hyperparams) {
+        let (n, dim, pairs) = (self.n, self.dim, self.matern.len());
+        for (d, &l) in hp.lengthscales.iter().enumerate() {
+            if self.scaled_for[d] == Some(l.to_bits()) {
+                continue;
+            }
+            let scaled = &mut self.scaled[d * pairs..(d + 1) * pairs];
+            let diffs = self.diffs.iter().skip(d).step_by(dim);
+            for ((s, diff), dirty) in scaled.iter_mut().zip(diffs).zip(&mut self.dirty) {
+                let term = (diff / l).powi(2);
+                if term.to_bits() != s.to_bits() {
+                    *s = term;
+                    *dirty = true;
+                }
+            }
+            self.scaled_for[d] = Some(l.to_bits());
+        }
+        for (p, (m, dirty)) in self.matern.iter_mut().zip(&mut self.dirty).enumerate() {
+            if std::mem::take(dirty) {
+                let r2: f64 = (0..dim).map(|d| self.scaled[d * pairs + p]).sum();
+                *m = GaussianProcess::matern52(r2.sqrt());
+            }
+        }
+        let diag = hp.signal_var + hp.noise_var + self.noise_floor;
+        let k = self.k.as_mut_slice();
+        let mut pair = self.matern.iter();
+        for i in 0..n {
+            for j in 0..i {
+                let v = hp.signal_var * pair.next().expect("one value per pair");
+                k[i * n + j] = v;
+                k[j * n + i] = v;
+            }
+            k[i * n + i] = diag;
+        }
+    }
+
+    /// The log-prior of `hp` from cached terms.
+    fn log_prior(&mut self, hp: &Hyperparams) -> f64 {
+        let noise = self.dim + 1;
+        let values = hp
+            .lengthscales
+            .iter()
+            .chain([&hp.signal_var, &hp.noise_var]);
+        let mut lp = 0.0;
+        for (t, (&v, slot)) in values.zip(&mut self.prior).enumerate() {
+            let term = match *slot {
+                Some((bits, term)) if bits == v.to_bits() => term,
+                _ => {
+                    let term = GaussianProcess::prior_term(v, t == noise);
+                    *slot = Some((v.to_bits(), term));
+                    term
+                }
+            };
+            lp -= term;
+        }
+        lp
+    }
+
+    /// LOO score plus log-prior of `hp`; `None` when the kernel is not
+    /// positive definite even with jitter, or the score is not finite.
+    /// Leaves the candidate's factor and `α` in the workspace for
+    /// [`Search::keep`].
+    fn score(&mut self, hp: &Hyperparams) -> Option<f64> {
+        self.kernel(hp);
+        cholesky_into(&self.k, 0.0, &mut self.chol).ok()?;
+        self.chol
+            .solve_into(self.y, &mut self.fwd, &mut self.alpha)
+            .ok()?;
+        self.chol.inv_diag_into(&mut self.w, &mut self.kinv).ok()?;
+        let score =
+            GaussianProcess::loo_log_likelihood(&self.kinv, &self.alpha)? + self.log_prior(hp);
+        score.is_finite().then_some(score)
+    }
+
+    /// Records the last scored candidate as the best (a buffer swap).
+    fn keep(&mut self) {
+        std::mem::swap(&mut self.chol, &mut self.best_chol);
+        std::mem::swap(&mut self.alpha, &mut self.best_alpha);
+    }
+
+    /// The kept candidate's factor and `α`.
+    fn into_best(self) -> (Cholesky, Vec<f64>) {
+        (self.best_chol, self.best_alpha)
     }
 }
 
@@ -707,6 +870,241 @@ impl Surrogate for GaussianProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use freedom_linalg::cholesky;
+    use proptest::prelude::*;
+
+    /// The direct scoring path the [`Search`] workspace must reproduce
+    /// bit for bit: build the whole kernel matrix (diagonal through
+    /// `matern52(0)`), factorize it with the jitter ladder, solve for
+    /// `α`, invert the diagonal, then LOO plus the uncached log-prior.
+    fn reference_kernel_matrix(hp: &Hyperparams, x: &Matrix, noise_floor: f64) -> Matrix {
+        let n = x.rows();
+        let mut k = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let v = GaussianProcess::kernel_value(hp, x.row(i), x.row(j));
+                k.set(i, j, v);
+                k.set(j, i, v);
+            }
+            k.set(i, i, k.get(i, i) + hp.noise_var + noise_floor);
+        }
+        k
+    }
+
+    fn reference_log_prior(hp: &Hyperparams) -> f64 {
+        let sigma2 = std::f64::consts::LN_10.powi(2);
+        let mut lp = 0.0;
+        for &l in &hp.lengthscales {
+            lp -= l.ln().powi(2) / (2.0 * sigma2);
+        }
+        lp -= hp.signal_var.ln().powi(2) / (2.0 * sigma2);
+        lp -= (hp.noise_var.ln() - (1e-3f64).ln()).powi(2) / (2.0 * sigma2 * 4.0);
+        lp
+    }
+
+    fn reference_score(
+        hp: &Hyperparams,
+        x: &Matrix,
+        y: &[f64],
+        noise_floor: f64,
+    ) -> Option<(Cholesky, Vec<f64>, f64)> {
+        let k = reference_kernel_matrix(hp, x, noise_floor);
+        let chol = cholesky(&k, 0.0).ok()?;
+        let alpha = chol.solve(y).ok()?;
+        let score = GaussianProcess::loo_log_likelihood(&chol.inv_diag(), &alpha)?
+            + reference_log_prior(hp);
+        score.is_finite().then_some((chol, alpha, score))
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// Scores `hps` in order through one workspace and through the
+    /// reference, asserting identical `Option<f64>` bits (and identical
+    /// factor and `α` bits on success). Returns how many candidates
+    /// needed jitter and how many failed.
+    fn assert_search_matches_reference(
+        x: &Matrix,
+        y: &[f64],
+        noise_floor: f64,
+        hps: &[Hyperparams],
+    ) -> (usize, usize) {
+        let mut search = Search::new(x, y, noise_floor);
+        let (mut jittered, mut failed) = (0, 0);
+        for (c, hp) in hps.iter().enumerate() {
+            let got = search.score(hp);
+            let want = reference_score(hp, x, y, noise_floor);
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.as_ref().map(|w| w.2.to_bits()),
+                "candidate {c} {hp:?} on {}×{}",
+                x.rows(),
+                x.cols()
+            );
+            match want {
+                Some((chol, alpha, _)) => {
+                    assert_eq!(
+                        bits(search.chol.factor().as_slice()),
+                        bits(chol.factor().as_slice())
+                    );
+                    assert_eq!(
+                        search.chol.jitter_used().to_bits(),
+                        chol.jitter_used().to_bits()
+                    );
+                    assert_eq!(bits(&search.alpha), bits(&alpha));
+                    jittered += usize::from(chol.jitter_used() > 0.0);
+                }
+                None => failed += 1,
+            }
+        }
+        (jittered, failed)
+    }
+
+    /// A random normalized training set with `dups` duplicated rows, and
+    /// a candidate sequence shaped like a search: random draws, single-
+    /// lengthscale refine moves, signal and noise moves, revisits of
+    /// earlier candidates, near-noiseless candidates (jitter ladder) and
+    /// invalid ones (non-PD).
+    fn search_case(
+        n: usize,
+        dim: usize,
+        dups: usize,
+        seed: u64,
+    ) -> (Matrix, Vec<f64>, Vec<Hyperparams>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut x = Matrix::zeros(n, dim);
+        for i in 0..n {
+            if i > 0 && i <= dups {
+                let src = x.row(rng.gen_range(0..i)).to_vec();
+                x.row_mut(i).copy_from_slice(&src);
+            } else {
+                for v in x.row_mut(i) {
+                    *v = rng.gen_range(0.0..1.0);
+                }
+            }
+        }
+        let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let mut hps: Vec<Hyperparams> = Vec::new();
+        for step in 0..24 {
+            let mut hp = match hps.last() {
+                Some(prev) if step % 6 != 0 => prev.clone(),
+                _ => Hyperparams {
+                    lengthscales: (0..dim)
+                        .map(|_| 10f64.powf(rng.gen_range(-1.0..1.0)))
+                        .collect(),
+                    signal_var: 10f64.powf(rng.gen_range(-0.5..0.5)),
+                    noise_var: 10f64.powf(rng.gen_range(-6.0..-1.0)),
+                },
+            };
+            let f: f64 = [0.25, 0.5, 2.0, 4.0][rng.gen_range(0..4usize)];
+            match step % 6 {
+                1 | 2 => {
+                    let d = rng.gen_range(0..dim);
+                    hp.lengthscales[d] = (hp.lengthscales[d] * f).clamp(1e-2, 1e2);
+                }
+                3 => hp.signal_var = (hp.signal_var * f).clamp(1e-3, 1e3),
+                4 if step == 10 => hp.noise_var = 1e-300,
+                4 if step == 16 => hp.lengthscales[0] = 0.0,
+                4 if step == 22 => hp.signal_var = -1.0,
+                4 => hp.noise_var = (hp.noise_var * f).clamp(1e-9, 1.0),
+                _ if step > 6 => hp = hps[rng.gen_range(0..hps.len())].clone(),
+                _ => {}
+            }
+            hps.push(hp);
+        }
+        (x, y, hps)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn search_scores_match_the_direct_path_bit_for_bit(
+            n in 1usize..13,
+            dim in 1usize..9,
+            dups in 0usize..4,
+            floor in prop::sample::select(vec![0.0, 1e-6]),
+            seed in 0u64..1_000_000,
+        ) {
+            let (x, y, hps) = search_case(n, dim, dups, seed);
+            assert_search_matches_reference(&x, &y, floor, &hps);
+        }
+    }
+
+    /// The equivalence property reaches both rare branches: candidates
+    /// that only factorize with jitter, and candidates that fail.
+    #[test]
+    fn search_equivalence_covers_jitter_and_failures() {
+        let (mut jittered, mut failed) = (0, 0);
+        for seed in 0..24 {
+            let (x, y, hps) = search_case(8, 3, 3, seed);
+            let (j, f) = assert_search_matches_reference(&x, &y, 0.0, &hps);
+            jittered += j;
+            failed += f;
+        }
+        assert!(jittered > 0, "no candidate exercised the jitter ladder");
+        assert!(failed > 0, "no candidate failed to factorize");
+    }
+
+    /// A fixed `fit` plus three `fit_update`s — incremental and full
+    /// tiers, warm-started searches included — predicts these exact
+    /// bits; any change to the search's arithmetic shows up here.
+    #[test]
+    fn fit_update_chain_predictions_are_pinned() {
+        let rows = |n: usize| -> (Vec<Vec<f64>>, Vec<f64>) {
+            let x: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    let t = i as f64;
+                    vec![
+                        (t * 0.37).sin() * 2.0 + 3.0,
+                        (t * 0.61).cos() + 1.5,
+                        (t * 1.3) % 2.7,
+                    ]
+                })
+                .collect();
+            let y = x
+                .iter()
+                .map(|r| 1.0 + r[0] * 0.3 + (r[1] * r[2]).sin().abs())
+                .collect();
+            (x, y)
+        };
+        let mut gp = GaussianProcess::new(
+            GpConfig {
+                refit_every: 2,
+                ..GpConfig::default()
+            },
+            17,
+        );
+        let (x, y) = rows(6);
+        gp.fit(&x, &y).unwrap();
+        for (k, n) in [7usize, 8, 10].into_iter().enumerate() {
+            let (x, y) = rows(n);
+            gp.fit_update(&x, &y, 100 + k as u64).unwrap();
+        }
+        assert_eq!(gp.fits_since_full(), 0, "the chain ends on a full search");
+        let queries: Vec<Vec<f64>> = (0..4)
+            .map(|i| {
+                let t = i as f64 * 0.9 + 0.2;
+                vec![2.0 + t, 1.0 + t * 0.3, t]
+            })
+            .collect();
+        let got: Vec<(u64, u64)> = gp
+            .predict_batch(&queries)
+            .unwrap()
+            .iter()
+            .map(|p| (p.mean.to_bits(), p.std.to_bits()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0x40086d5a7708788b, 0x3fc513eab2266d2d),
+                (0x400a95ce5d468d1d, 0x3fcf5acabc2cecbb),
+                (0x4004ebe558f4452e, 0x3fc154916341ae19),
+                (0x400b16e9e27f971b, 0x3fb59b378340f1c3),
+            ]
+        );
+    }
 
     fn grid_1d(n: usize) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect()
@@ -841,7 +1239,7 @@ mod tests {
             // and factor it; both the factor and alpha must match bit for
             // bit (append_row is row-by-row Cholesky's own recurrence).
             let f = warm.fitted.as_ref().unwrap();
-            let k_mat = GaussianProcess::kernel_matrix(&f.hp, &f.x, warm.config.noise_floor);
+            let k_mat = reference_kernel_matrix(&f.hp, &f.x, warm.config.noise_floor);
             let scratch = cholesky(&k_mat, 0.0).unwrap();
             assert_eq!(
                 scratch.factor().as_slice(),

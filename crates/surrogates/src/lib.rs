@@ -57,7 +57,11 @@ pub struct Prediction {
 }
 
 /// A regressor usable as a Bayesian-optimization surrogate.
-pub trait Surrogate {
+///
+/// Models are plain data and `Send`, so a caller holding many
+/// independent models (one per function in the fleet right-sizer) can fit
+/// them on worker threads.
+pub trait Surrogate: Send {
     /// Fits the model on feature rows `x` and targets `y`.
     ///
     /// Implementations reset any previous fit. Errors on empty data,

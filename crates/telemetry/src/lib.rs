@@ -219,11 +219,14 @@ pub enum Span {
     GzDecompress,
     /// Wall time simulating one window (arg = first event index).
     WindowSim,
+    /// Wall time the controller spent in one tick (arg = functions
+    /// replanned) — where the right-sizer's refit bursts show up.
+    TickWork,
 }
 
 impl Span {
     /// Number of span kinds; length of [`Span::ALL`].
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 9;
 
     /// Every span kind, in declaration (= track id) order.
     pub const ALL: [Span; Span::COUNT] = [
@@ -235,6 +238,7 @@ impl Span {
         Span::Scan,
         Span::GzDecompress,
         Span::WindowSim,
+        Span::TickWork,
     ];
 
     /// Stable name used as the trace-event name and track label.
@@ -248,6 +252,7 @@ impl Span {
             Span::Scan => "scan",
             Span::GzDecompress => "gz_decompress",
             Span::WindowSim => "window_sim",
+            Span::TickWork => "tick_work",
         }
     }
 }

@@ -170,6 +170,12 @@ const DENSE_EPOCH_SECS: f64 = 1.0;
 /// Epoch length of the lattice's kill-and-resume sweep.
 const RESUME_EPOCH_SECS: f64 = 60.0;
 
+/// The fewest refits a right-sizer tick fans out over threads (the
+/// private `FANOUT_MIN_REFITS` in `crates/core/src/controller.rs`). A
+/// tick's `replanned` count never exceeds its refits, so a tick that
+/// replans at least this many functions fanned out.
+const RIGHT_SIZER_FANOUT_MIN: u32 = 4;
+
 /// The three controllers every row crosses with.
 fn controllers() -> [ControllerConfig; 3] {
     [
@@ -318,6 +324,7 @@ fn streaming_replay_is_bit_identical_for_every_source_and_controller() {
     }
     traces.push(("azure", StreamTrace::from_csv(AZURE_FIXTURE).unwrap()));
 
+    let mut fanned_out_ticks = 0;
     for (name, lazy) in &traces {
         let sim = FleetSimulator::new(synthetic_plans(lazy.n_functions(), 4).unwrap()).unwrap();
         let full = lazy.materialize().unwrap();
@@ -332,6 +339,13 @@ fn streaming_replay_is_bit_identical_for_every_source_and_controller() {
                         "{name}/{controller:?} must tick over the trace"
                     );
                 }
+                if matches!(controller, ControllerConfig::SurrogateRightSizer(_)) {
+                    fanned_out_ticks += reference
+                        .control
+                        .iter()
+                        .filter(|s| s.replanned >= RIGHT_SIZER_FANOUT_MIN)
+                        .count();
+                }
                 assert_lattice(
                     &sim,
                     lazy,
@@ -343,6 +357,10 @@ fn streaming_replay_is_bit_identical_for_every_source_and_controller() {
             }
         }
     }
+    assert!(
+        fanned_out_ticks > 0,
+        "no right-sizer tick refit enough functions to fan out"
+    );
 }
 
 /// The failure-domain acceptance row: with fault injection enabled —

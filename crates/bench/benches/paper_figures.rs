@@ -138,7 +138,7 @@ fn bench_spot_market(c: &mut Criterion) {
         mean_rps: 0.5,
         alpha: 1.5,
     }
-    .generate_sharded(120, 3600.0, 42, 8)
+    .generate(120, 3600.0, 42)
     .expect("hour-long heavy-tail trace");
     group.bench_function("hour_120fn_sequential", |b| {
         b.iter(|| {
@@ -191,7 +191,7 @@ fn bench_control_loop(c: &mut Criterion) {
         mean_rps: 0.5,
         alpha: 1.5,
     }
-    .generate_sharded(120, 3600.0, 42, 8)
+    .generate(120, 3600.0, 42)
     .expect("hour-long heavy-tail trace");
     let controllers = [
         ("hour_120fn_static", ControllerConfig::Static),
@@ -274,7 +274,7 @@ fn bench_streaming_replay(c: &mut Criterion) {
     };
     let hour_sim =
         FleetSimulator::new(synthetic_plans(120, 42).expect("fleet fixture")).expect("fleet");
-    let hour = StreamTrace::generate_sharded(
+    let hour = StreamTrace::generate(
         TraceSource::HeavyTail {
             mean_rps: 0.5,
             alpha: 1.5,
@@ -282,7 +282,6 @@ fn bench_streaming_replay(c: &mut Criterion) {
         120,
         3600.0,
         42,
-        8,
     )
     .expect("hour-long heavy-tail trace");
     let hour_source = TraceSource::HeavyTail {
@@ -305,7 +304,7 @@ fn bench_streaming_replay(c: &mut Criterion) {
 
     let day_sim =
         FleetSimulator::new(synthetic_plans(1200, 42).expect("fleet fixture")).expect("fleet");
-    let day = StreamTrace::generate_sharded(
+    let day = StreamTrace::generate(
         TraceSource::HeavyTail {
             mean_rps: 0.01,
             alpha: 1.5,
@@ -313,7 +312,6 @@ fn bench_streaming_replay(c: &mut Criterion) {
         1200,
         86_400.0,
         42,
-        8,
     )
     .expect("day-long heavy-tail trace");
     group.bench_function("day_1200fn_streaming", |b| {
@@ -388,7 +386,7 @@ fn bench_zone_outage(c: &mut Criterion) {
         faults: fault_presets()[2].plan,
         ..calm
     };
-    let trace = StreamTrace::generate_sharded(
+    let trace = StreamTrace::generate(
         TraceSource::HeavyTail {
             mean_rps: 0.5,
             alpha: 1.5,
@@ -396,7 +394,6 @@ fn bench_zone_outage(c: &mut Criterion) {
         120,
         3600.0,
         42,
-        8,
     )
     .expect("hour-long heavy-tail trace");
     for (name, config) in [("hour_120fn_calm", &calm), ("hour_120fn_stormy", &stormy)] {

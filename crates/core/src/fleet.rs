@@ -7,12 +7,11 @@
 //! function**, and fluctuates as the provider's own load moves. This
 //! module closes that loop with a discrete-event simulation:
 //!
-//! - an arrival [`Trace`] over `N` functions (see [`TraceSource`] for the
-//!   Poisson / bursty / diurnal / heavy-tail generators and the Azure CSV
-//!   ingestion);
+//! - an arrival trace over `N` functions, read through a
+//!   [`StreamTrace`] (the [`TraceSource`] Poisson / bursty / diurnal /
+//!   heavy-tail generators, or Azure-style CSV files);
 //! - a provider-wide [spot market](crate::market): per-family warm VM
-//!   slots whose supply follows a seeded
-//!   [`SupplyProcess`](crate::market::SupplyProcess), an
+//!   slots whose supply follows a seeded [`SupplyProcess`], an
 //!   [`AdmissionPolicy`] gating spot requests on market utilization, and
 //!   demand-dependent pricing
 //!   ([`SpotPricing::demand_fraction`](freedom_pricing::SpotPricing::demand_fraction));
@@ -30,8 +29,9 @@
 //! supply step, notice, retry and controller tick fires in one global time
 //! order. There are three entry points over that single engine:
 //!
-//! - [`run`](FleetSimulator::run) replays a materialized [`Trace`] — the
-//!   reference the tests compare against;
+//! - [`run`](FleetSimulator::run) replays a materialized [`Trace`]
+//!   ([`StreamTrace::materialize`]) — the oracle the tests compare
+//!   against and the simulation-only reference, not a production input;
 //! - [`run_stream_traced`](FleetSimulator::run_stream_traced) replays a
 //!   lazy [`StreamTrace`] with peak memory O(functions + in-flight
 //!   placements) instead of O(total arrivals), under any telemetry
@@ -41,10 +41,11 @@
 //!   crash-resume [`ReplaySnapshot`] carrying the exact in-flight,
 //!   retry, and controller state.
 //!
-//! The two streaming entry points pull their events from an ingest
-//! thread (the stream module's pipelined hand-off), so trace decoding
-//! overlaps the simulation; the simulation itself stays on the calling
-//! thread.
+//! The two streaming entry points are thin shells over one private
+//! epoch loop (an uninterrupted replay is one unbounded epoch) and pull
+//! their events from an ingest thread (the stream module's pipelined
+//! hand-off), so trace decoding overlaps the simulation; the simulation
+//! itself stays on the calling thread.
 //!
 //! All three are bit-identical for the same trace, whatever the recorder
 //! and wherever a resumable run was killed and resumed (guarded by
@@ -955,9 +956,11 @@ impl FleetSimulator {
     /// `FunctionPlan::function`, it drives `plans[i]` with the trace's
     /// stream `i`. Each invocation is metered against the plan that
     /// served it, so any ordering is self-consistent — but callers
-    /// pairing a fleet with [`Trace::poisson`] (whose six streams are
-    /// documented as `FunctionKind::ALL` order) should push plans in
-    /// that same order, as the tests and experiments do.
+    /// pairing a fleet with a six-function trace meant as the benchmark
+    /// functions ([`StreamTrace::generate`] over
+    /// `FunctionKind::ALL.len()` functions, or its materialized oracle
+    /// [`Trace::poisson`]) should push plans in `FunctionKind::ALL`
+    /// order, as the tests and experiments do.
     ///
     /// Returns [`FreedomError::InvalidArgument`] when `plans` is empty.
     pub fn new(plans: Vec<FunctionPlan>) -> Result<Self> {
@@ -1026,35 +1029,12 @@ impl FleetSimulator {
         rec: &mut R,
     ) -> Result<(FleetReport, ReplayStats)> {
         let ctx = self.prepare(trace.n_functions(), trace.horizon_nanos(), strategy, config)?;
-        let mut metering = Metering::default();
-        let (outcome, peak_cursor_resident) =
-            pipelined(trace.open()?, std::iter::empty(), |batches| {
-                let outcome = simulate_window(
-                    &ctx,
-                    std::iter::from_fn(|| batches.next_event::<R>()),
-                    0,
-                    &Carry::initial(&ctx),
-                    0,
-                    u64::MAX,
-                    rec,
-                    &mut metering,
-                );
-                rec.add(tel::Counter::IngestWaits, batches.take_waits());
-                outcome
-            });
-        rec.add(tel::Counter::WindowsSimulated, 1);
-        let stats = ReplayStats {
-            events: trace.len(),
-            peak_inflight: outcome.peak_inflight,
-            peak_cursor_resident,
-        };
-        let report = reduce(
-            strategy,
-            config.slo_theta,
-            trace.len(),
-            metering,
-            ctx.controller_label,
-        );
+        // One unbounded epoch: no boundaries, so no snapshots.
+        let (metering, stats) =
+            replay_epochs(&ctx, trace, u64::MAX, 0, None, rec, |_, _| Ok(true))?
+                .expect("a replay without boundaries runs to the end");
+        let label = ctx.controller_label;
+        let report = reduce(strategy, config.slo_theta, trace.len(), metering, label);
         Ok((report, stats))
     }
 
@@ -1076,9 +1056,9 @@ impl FleetSimulator {
     /// stop (the simulated crash of the kill/resume tests); a stopped
     /// run yields `Ok(None)`. Snapshots are rejected with
     /// [`FreedomError::InvalidArgument`] when their fingerprint —
-    /// strategy, config, fleet and trace shape, snapshot cadence — does
-    /// not match this replay, so a stale file cannot silently resume a
-    /// different simulation.
+    /// strategy, config, fleet, the trace's shape and input identity,
+    /// snapshot cadence — does not match this replay, so a stale file
+    /// cannot silently resume a different simulation.
     #[allow(clippy::too_many_arguments)]
     pub fn run_stream_resumable_traced<R: Recorder>(
         &self,
@@ -1088,127 +1068,25 @@ impl FleetSimulator {
         snapshot_secs: f64,
         resume: Option<&ReplaySnapshot>,
         rec: &mut R,
-        mut on_snapshot: impl FnMut(&ReplaySnapshot, &mut R) -> Result<bool>,
+        on_snapshot: impl FnMut(&ReplaySnapshot, &mut R) -> Result<bool>,
     ) -> Result<Option<FleetReport>> {
         let horizon = trace.horizon_nanos();
         let window_nanos = validate_window(horizon, snapshot_secs)?;
         let ctx = self.prepare(trace.n_functions(), horizon, strategy, config)?;
-        if trace.is_empty() {
-            return Ok(Some(reduce(
-                strategy,
-                config.slo_theta,
-                0,
-                Metering::default(),
-                ctx.controller_label,
-            )));
-        }
-        let fingerprint = replay_fingerprint(&ctx, strategy, config, trace.len(), window_nanos);
-        let n = (horizon / window_nanos) as usize + 1;
-        let (mut k, mut carry, stream, mut metering, mut consumed) = match resume {
-            Some(snap) => {
-                if snap.fingerprint != fingerprint {
-                    return Err(FreedomError::InvalidArgument(
-                        "snapshot fingerprint does not match this replay \
-                         (different strategy, config, trace, or snapshot cadence)"
-                            .into(),
-                    ));
-                }
-                if snap.epoch == 0 || snap.epoch as usize >= n {
-                    return Err(FreedomError::InvalidArgument(format!(
-                        "snapshot epoch {} is outside this replay's 1..{n} boundaries",
-                        snap.epoch
-                    )));
-                }
-                (
-                    snap.epoch as usize,
-                    snap.carry.clone(),
-                    trace.open_at(&snap.checkpoint)?,
-                    snap.metering.clone(),
-                    snap.events_consumed,
-                )
-            }
-            None => (
-                0,
-                Carry::initial(&ctx),
-                trace.open()?,
-                Metering::default(),
-                0,
-            ),
-        };
-        // The ingest thread closes every epoch with the stream checkpoint
-        // taken at its boundary, so each snapshot resumes exactly where
-        // this thread stopped consuming.
-        let boundaries = (k + 1..n).map(move |b| b as u64 * window_nanos);
-        let (finished, _) = pipelined(stream, boundaries, |batches| -> Result<bool> {
-            while k < n {
-                let (start, end) = window_span(k, window_nanos);
-                let mut count = 0u64;
-                let events = std::iter::from_fn(|| {
-                    let event = batches.next_event::<R>();
-                    count += u64::from(event.is_some());
-                    event
-                });
-                let outcome = simulate_window(
-                    &ctx,
-                    events,
-                    consumed as u32,
-                    &carry,
-                    start,
-                    end,
-                    rec,
-                    &mut metering,
-                );
-                rec.add(tel::Counter::WindowsSimulated, 1);
-                rec.add(tel::Counter::IngestWaits, batches.take_waits());
-                consumed += count;
-                carry = outcome.carry_out;
-                k += 1;
-                if k < n {
-                    // No checkpoint means the ingest thread died mid-epoch;
-                    // `pipelined` re-raises its panic.
-                    let Some(checkpoint) = batches.take_checkpoint() else {
-                        return Ok(false);
-                    };
-                    // Fold everything behind the boundary's watermark, so
-                    // the snapshot carries accumulators plus the in-flight
-                    // tail rather than the history; lend the metering to
-                    // the snapshot instead of cloning it.
-                    metering.fold(carry.live_indices().fold(consumed as u32, u32::min));
-                    let snap = ReplaySnapshot {
-                        version: SNAPSHOT_VERSION,
-                        fingerprint,
-                        epoch: k as u64,
-                        window_nanos,
-                        events_consumed: consumed,
-                        checkpoint,
-                        carry: carry.clone(),
-                        metering: std::mem::take(&mut metering),
-                    };
-                    let boundary = k as u64 * window_nanos;
-                    rec.span_sim(tel::Span::SnapshotEpoch, boundary, boundary, k as u64);
-                    rec.add(tel::Counter::SnapshotsWritten, 1);
-                    let snap_wall = rec.now_nanos();
-                    let keep_going = on_snapshot(&snap, rec)?;
-                    rec.span_wall(tel::Span::SnapshotEpoch, snap_wall, k as u64);
-                    metering = snap.metering;
-                    if !keep_going {
-                        return Ok(false);
-                    }
-                }
-            }
-            Ok(true)
-        });
-        if !finished? {
-            return Ok(None);
-        }
-        debug_assert_eq!(consumed as usize, trace.len());
-        Ok(Some(reduce(
-            strategy,
-            config.slo_theta,
-            trace.len(),
-            metering,
-            ctx.controller_label,
-        )))
+        let fingerprint = replay_fingerprint(&ctx, strategy, config, trace, window_nanos);
+        let replayed = replay_epochs(
+            &ctx,
+            trace,
+            window_nanos,
+            fingerprint,
+            resume,
+            rec,
+            on_snapshot,
+        )?;
+        Ok(replayed.map(|(metering, _)| {
+            let label = ctx.controller_label;
+            reduce(strategy, config.slo_theta, trace.len(), metering, label)
+        }))
     }
 
     /// Validates inputs and resolves plans, supply schedule, and market
@@ -2182,14 +2060,15 @@ fn window_span(k: usize, window_nanos: u64) -> (u64, u64) {
 
 /// Fingerprint of a resumable replay's identity: strategy and config
 /// (via their `Debug` forms — both are plain data), the resolved fleet
-/// shape, the trace shape, and the snapshot cadence. A
-/// [`ReplaySnapshot`] carries it so a resume under any different setup
-/// is rejected instead of silently producing a frankenstein report.
+/// shape, the trace shape and input digest ([`StreamTrace::digest`]),
+/// and the snapshot cadence. A [`ReplaySnapshot`] carries it so a resume
+/// under any different setup is rejected instead of silently producing
+/// a frankenstein report.
 fn replay_fingerprint(
     ctx: &ReplayCtx,
     strategy: PlacementStrategy,
     config: &FleetConfig,
-    trace_len: usize,
+    trace: &StreamTrace,
     window_nanos: u64,
 ) -> u64 {
     let mut h = Fnv64::new();
@@ -2201,10 +2080,147 @@ fn replay_fingerprint(
         h.write(cost.to_bits());
         h.write(u64::from(ctx.alt_offsets[f + 1] - ctx.alt_offsets[f]));
     }
-    h.write(trace_len as u64);
+    h.write(trace.len() as u64);
     h.write(ctx.horizon_nanos);
+    h.write(trace.digest());
     h.write(window_nanos);
     h.finish()
+}
+
+/// The one streaming replay body behind both streaming entry points:
+/// cuts the trace into epochs of `window_nanos` (`u64::MAX`: one
+/// unbounded epoch, no boundaries), opens the stream at the start or at
+/// `resume`'s checkpoint, runs it through the pipelined ingest thread,
+/// and hands `on_snapshot` a snapshot stamped with `fingerprint` at every
+/// boundary. Returns the replay's metering and stats, or `None` when
+/// `on_snapshot` stopped the run.
+fn replay_epochs<R: Recorder>(
+    ctx: &ReplayCtx,
+    trace: &StreamTrace,
+    window_nanos: u64,
+    fingerprint: u64,
+    resume: Option<&ReplaySnapshot>,
+    rec: &mut R,
+    mut on_snapshot: impl FnMut(&ReplaySnapshot, &mut R) -> Result<bool>,
+) -> Result<Option<(Metering, ReplayStats)>> {
+    // An unbounded epoch has no boundary, whatever the horizon.
+    let n = match window_nanos {
+        u64::MAX => 1,
+        w => (ctx.horizon_nanos / w) as usize + 1,
+    };
+    let (mut k, mut carry, stream, mut metering, mut consumed) = match resume {
+        Some(snap) => {
+            if snap.fingerprint != fingerprint {
+                return Err(FreedomError::InvalidArgument(
+                    "snapshot fingerprint does not match this replay \
+                     (different strategy, config, trace, or snapshot cadence)"
+                        .into(),
+                ));
+            }
+            if snap.epoch == 0 || snap.epoch as usize >= n {
+                return Err(FreedomError::InvalidArgument(format!(
+                    "snapshot epoch {} is outside this replay's 1..{n} boundaries",
+                    snap.epoch
+                )));
+            }
+            (
+                snap.epoch as usize,
+                snap.carry.clone(),
+                trace.open_at(&snap.checkpoint)?,
+                snap.metering.clone(),
+                snap.events_consumed,
+            )
+        }
+        None => (
+            0,
+            Carry::initial(ctx),
+            trace.open()?,
+            Metering::default(),
+            0,
+        ),
+    };
+    let mut peak_inflight = 0;
+    // The ingest thread closes every epoch with the stream checkpoint
+    // taken at its boundary, so each snapshot resumes exactly where
+    // this thread stopped consuming.
+    let boundaries = (k + 1..n).map(move |b| b as u64 * window_nanos);
+    let (finished, peak_cursor_resident) =
+        pipelined(stream, boundaries, |batches| -> Result<bool> {
+            while k < n {
+                let (start, end) = window_span(k, window_nanos);
+                let mut count = 0u64;
+                let events = std::iter::from_fn(|| {
+                    let event = batches.next_event::<R>();
+                    count += u64::from(event.is_some());
+                    event
+                });
+                let outcome = simulate_window(
+                    ctx,
+                    events,
+                    consumed as u32,
+                    &carry,
+                    start,
+                    end,
+                    rec,
+                    &mut metering,
+                );
+                rec.add(tel::Counter::WindowsSimulated, 1);
+                rec.add(tel::Counter::IngestWaits, batches.take_waits());
+                consumed += count;
+                carry = outcome.carry_out;
+                peak_inflight = peak_inflight.max(outcome.peak_inflight);
+                k += 1;
+                if k < n {
+                    // No checkpoint means the ingest thread died mid-epoch;
+                    // `pipelined` re-raises its panic.
+                    let Some(checkpoint) = batches.take_checkpoint() else {
+                        return Ok(false);
+                    };
+                    // Fold everything behind the boundary's watermark, so
+                    // the snapshot carries accumulators plus the in-flight
+                    // tail rather than the history; lend the metering to
+                    // the snapshot instead of cloning it.
+                    metering.fold(carry.live_indices().fold(consumed as u32, u32::min));
+                    let snap = ReplaySnapshot {
+                        version: SNAPSHOT_VERSION,
+                        fingerprint,
+                        epoch: k as u64,
+                        window_nanos,
+                        events_consumed: consumed,
+                        checkpoint,
+                        carry: carry.clone(),
+                        metering: std::mem::take(&mut metering),
+                    };
+                    let boundary = k as u64 * window_nanos;
+                    rec.span_sim(tel::Span::SnapshotEpoch, boundary, boundary, k as u64);
+                    rec.add(tel::Counter::SnapshotsWritten, 1);
+                    let snap_wall = rec.now_nanos();
+                    let keep_going = on_snapshot(&snap, rec)?;
+                    rec.span_wall(tel::Span::SnapshotEpoch, snap_wall, k as u64);
+                    metering = snap.metering;
+                    if !keep_going {
+                        return Ok(false);
+                    }
+                }
+            }
+            Ok(true)
+        });
+    if !finished? {
+        return Ok(None);
+    }
+    if consumed != trace.len() as u64 {
+        return Err(FreedomError::InvalidArgument(format!(
+            "the replay consumed {consumed} events of a {}-event trace: the resumed \
+             position or the input does not match the trace's scan",
+            trace.len()
+        )));
+    }
+    let stats = ReplayStats {
+        events: trace.len(),
+        peak_inflight,
+        peak_cursor_resident,
+    };
+    Ok(Some((metering, stats)))
 }
 
 /// Simulates one time window `[start_nanos, end_nanos)` of the merged
@@ -3487,6 +3503,27 @@ mod tests {
         // A mis-sized fleet is rejected.
         let small = StreamTrace::generate(source, 3, 30.0, 1).unwrap();
         assert!(stream(&sim, &small, PlacementStrategy::IdleAware, &config).is_err());
+    }
+
+    #[test]
+    fn an_empty_trace_reports_identically_through_every_entry_point() {
+        let sim = FleetSimulator::new(make_plans(2)).unwrap();
+        let config = volatile_config(ControllerConfig::HeadroomPid(PidConfig::default()));
+        // Six registered functions, not one arrival.
+        let rows: String = (0..FunctionKind::ALL.len())
+            .map(|f| format!("app,fn{f},0,0\n"))
+            .collect();
+        let lazy = StreamTrace::from_csv_parts(&[rows.as_bytes()]).unwrap();
+        assert!(lazy.is_empty());
+        let full = lazy.materialize().unwrap();
+        for strategy in PlacementStrategy::ALL {
+            let reference = sim.run(&full, strategy, &config).unwrap();
+            assert_eq!(reference.invocations, 0);
+            let streamed = stream(&sim, &lazy, strategy, &config).unwrap();
+            let resumable = chained(&sim, &lazy, strategy, &config, 60.0).unwrap();
+            assert_eq!(format!("{reference:?}"), format!("{streamed:?}"));
+            assert_eq!(format!("{reference:?}"), format!("{resumable:?}"));
+        }
     }
 
     #[test]

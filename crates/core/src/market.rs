@@ -16,17 +16,17 @@
 //!   shared *shock* draw into their own stream (`ZoneConfig::shock`), so
 //!   drops correlate across zones the way a region-wide first-party
 //!   load spike would. The whole process — including injected
-//!   [`FaultPlan`](crate::faults::FaultPlan) outages and bursts — is
-//!   precomputed into a [`SupplySchedule`], a pure function of
+//!   [`FaultPlan`] outages and bursts — is
+//!   precomputed into a `SupplySchedule`, a pure function of
 //!   `(config, faults, horizon)`, so any replay window can reconstruct
 //!   the supply in effect at any instant without sequential state.
 //! - **Preemption notices**: when `ZoneConfig::notice_secs > 0`, every
 //!   capacity drop is announced `notice_secs` ahead by a
-//!   [`NoticeStep`]. A notified slot stops admitting; its in-flight
+//!   `NoticeStep`. A notified slot stops admitting; its in-flight
 //!   work either drains (completes before the withdrawal), migrates to
 //!   another zone at withdrawal time (re-billed at
 //!   `migration_rebill · list`), or is force-demoted to on-demand.
-//! - [`SpotLedger`]: the live market state during a replay — zone-major
+//! - `SpotLedger`: the live market state during a replay — zone-major
 //!   VM slots with free capacity, the available prefix dictated by the
 //!   current supply step, per-slot resident placements, and market-wide
 //!   occupancy counters. Supply drops *withdraw* the highest-indexed

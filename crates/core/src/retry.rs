@@ -5,7 +5,7 @@
 //! failure — it re-executes the invocation. This module is the *policy*
 //! half of that machinery: [`RetryPolicy`] names the backoff curve,
 //! attempt cap, per-family retry budget, hedging delay, and brownout
-//! thresholds as plain data, and [`RetryBudget`] / [`PendingRetry`] are
+//! thresholds as plain data, and `RetryBudget` / `PendingRetry` are
 //! the carried state the replay threads across epoch boundaries (and
 //! into crash-resume snapshots). Everything here is a pure function of `(policy, invocation
 //! identity, simulated time)`:

@@ -1,23 +1,31 @@
-//! The streaming trace pipeline: constant-memory event production.
+//! The streaming trace pipeline: constant-memory event production, and
+//! the one trace front end of the fleet replay.
 //!
-//! [`Trace`] materializes every arrival up front — per-function `Vec`s
-//! plus a merged event view — which caps replay horizons at what fits in
-//! memory. This module produces the same events *lazily*: a
-//! [`StreamTrace`] holds only the trace's **specification** (generator
-//! parameters, or a CSV key map plus the file list) plus O(functions)
-//! scan metadata, and an [`EventStream`] pulls arrivals one at a time
-//! through the same k-way merge and tie-break contract (time, then
-//! function index) as the materialized view. Peak resident state is
-//! `O(functions)` cursors — one pending event each — instead of
-//! `O(total events)`.
+//! A [`StreamTrace`] holds only the trace's **specification** (generator
+//! parameters, or the CSV inputs plus a per-line function table) and
+//! O(functions) scan metadata, never the events. An [`EventStream`]
+//! pulls arrivals one at a time through the same k-way merge and
+//! tie-break contract (time, then function index) as the materialized
+//! [`Trace`], so peak resident state is `O(functions)` cursors — one
+//! pending event each — instead of `O(total events)`.
+//!
+//! Three constructors cover every input:
+//!
+//! - [`StreamTrace::generate`]: the synthetic [`TraceSource`] shapes;
+//! - [`StreamTrace::from_csv_files`]: `app,func,minute,count` rows
+//!   ("Serverless in the Wild" per-minute counts) in files on disk;
+//! - [`StreamTrace::from_csv_parts`]: the same rows in memory.
+//!
+//! The materialized [`Trace`] ([`StreamTrace::materialize`]) is the test
+//! oracle the streaming pipeline is diffed against, not a replay input.
 //!
 //! # The streaming cursor contract
 //!
 //! - **Bit-identity.** `StreamTrace::open().events()` yields exactly the
 //!   events of [`StreamTrace::materialize`], same `f64` bits, same
 //!   order. Synthetic sources guarantee it by construction (both paths
-//!   drain the same [`GenCursor`](crate::trace)); the CSV reader shares
-//!   the materialized parser's row grammar and spread formula, and its
+//!   drain the same generator cursor); the CSV reader shares the
+//!   materialized parser's row grammar and spread formula, and its
 //!   bounded-lookahead merge is exact for every file it accepts.
 //! - **Checkpoint / rewind.** [`EventStream::checkpoint`] captures the
 //!   stream's position (per-function generator states and pending
@@ -25,24 +33,23 @@
 //!   open rows); [`StreamTrace::open_at`] reopens the stream there,
 //!   replaying the identical suffix. This is how a crash-resumed fleet
 //!   replay re-seeks its epoch boundary without ever holding the merged
-//!   view.
+//!   view. A checkpoint that cannot belong to the trace is rejected
+//!   with a typed error.
 //! - **CSV lookahead.** Rows may arrive out of minute order by at most
 //!   [`CSV_LOOKAHEAD_MINUTES`]; the reader buffers the open rows of that
 //!   sliding window (its only super-constant state) and rejects files
 //!   that exceed the bound with a file- and line-qualified error at scan
 //!   time. The bound is **global across file seams**: the first row of
 //!   file *k+1* may trail the highest minute of files *1..k* by at most
-//!   the same lookahead. The materialized [`TraceSource::from_csv`]
-//!   accepts arbitrary disorder — it is the escape hatch for
-//!   pathological files.
-//! - **Multi-file and gzip inputs.** [`StreamTrace::from_csv_files`]
-//!   replays N per-day files as one logical trace: files are scanned in
-//!   parallel, per-file key lists merge in file order (bit-identical to
-//!   scanning the concatenation), and each file may carry its own header
-//!   row. Files whose first bytes are the gzip magic are decompressed on
-//!   the fly through the vendored [`flate`] inflater, in place of the
-//!   plain reads, on whichever thread drives the stream. Identical bytes
-//!   flow either way, so gz ≡ plain ≡ materialized, bit for bit.
+//!   the same lookahead.
+//! - **Multi-file and gzip inputs.** A CSV trace is a list of inputs
+//!   replayed as one logical trace: inputs are scanned in parallel,
+//!   per-input key lists merge in input order (bit-identical to scanning
+//!   the concatenation), and each input may carry its own header row.
+//!   Inputs whose first bytes are the gzip magic are decompressed on the
+//!   fly through the vendored [`flate`] inflater, on whichever thread
+//!   drives the stream. Identical bytes flow either way, so gz ≡ plain ≡
+//!   materialized, bit for bit.
 //! - **Pipelined ingest.** A fleet replay does not pull this stream on
 //!   its own thread: `pipelined` moves the stream — inflate, CSV parse
 //!   and the k-way merge — onto one scoped ingest thread that fills
@@ -52,10 +59,12 @@
 //!   boundary position. Event order is the stream's own, so the replay
 //!   is bit-identical to a single-threaded pull by construction.
 //!
-//! Construction performs one **scan pass** (cheap: generation only, no
-//! simulation) recording the event count and horizon per function —
-//! what the fleet engine needs before replay — so `open()` itself is
-//! allocation-light and replays never re-derive metadata.
+//! Construction performs one **scan pass** over every core (cheap:
+//! generation or parsing only, no simulation) recording the event count
+//! and horizon — what the fleet engine needs before replay — plus an
+//! identity digest of the input that crash-resume snapshots are checked
+//! against, so `open()` itself is allocation-light and replays never
+//! re-derive metadata.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -64,6 +73,7 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 
+use crate::market::Fnv64;
 use crate::trace::{
     event_nanos, minute_event, parse_csv_row, stream_seed, GenCursor, Trace, TraceEvent,
     TraceSource,
@@ -77,28 +87,50 @@ use crate::{FreedomError, Result};
 /// file seams: `max_seen` includes every earlier file of the trace.
 pub const CSV_LOOKAHEAD_MINUTES: u64 = 8;
 
-/// Default chunk size of the CSV byte reader. Tests shrink it to force
-/// records across chunk boundaries.
+/// Default chunk size of the CSV byte reader. Tests shrink it through
+/// [`StreamTrace::from_csv_parts_chunked`] to force records across chunk
+/// boundaries.
 const CSV_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Where the CSV bytes live. `Mem` shares the buffer across reopened
-/// streams; `File` reopens and seeks, so parallel windows each hold one
-/// descriptor and a chunk — never the file.
+/// streams; `File` reopens and seeks, so a stream holds one descriptor
+/// and a chunk — never the file.
 #[derive(Debug, Clone)]
 enum CsvBytes {
     Mem(Arc<[u8]>),
     File(PathBuf),
 }
 
-/// One input file of a (possibly multi-file) CSV trace.
+/// One input of a (possibly multi-input) CSV trace.
 #[derive(Debug, Clone)]
 struct CsvFile {
     bytes: CsvBytes,
-    /// Decompress through the vendored inflater before line splitting.
+    /// The input starts with the gzip magic: decompress through the
+    /// vendored inflater before line splitting.
     gz: bool,
     /// Human-readable name used in error attribution ("" for a single
-    /// in-memory input, preserving the historical message format).
+    /// in-memory input, whose messages carry no label).
     label: String,
+}
+
+impl CsvFile {
+    fn new(bytes: CsvBytes, label: String) -> Result<Self> {
+        let gz = match &bytes {
+            CsvBytes::Mem(data) => flate::is_gzip(data),
+            CsvBytes::File(path) => {
+                let mut magic = Vec::with_capacity(2);
+                std::fs::File::open(path)
+                    .and_then(|file| file.take(2).read_to_end(&mut magic))
+                    .map_err(|e| cannot_read(path, e))?;
+                flate::is_gzip(&magic)
+            }
+        };
+        Ok(Self { bytes, gz, label })
+    }
+}
+
+fn cannot_read(path: &Path, e: std::io::Error) -> FreedomError {
+    FreedomError::InvalidArgument(format!("cannot read trace CSV {}: {e}", path.display()))
 }
 
 /// A lazily-evaluated arrival trace: the specification plus O(functions)
@@ -109,6 +141,9 @@ pub struct StreamTrace {
     n_functions: usize,
     len: usize,
     horizon_nanos: u64,
+    /// Identity of the input, fixed at scan time (see
+    /// [`StreamTrace::digest`]).
+    digest: u64,
     /// Wall timings of the construction-time scan pass, one entry per
     /// scanned unit (file, part, or the synthetic count pass), offsets
     /// relative to the scan's start. Replayed into a telemetry recorder
@@ -147,6 +182,15 @@ enum StreamSpec {
         row_fn: Arc<Vec<Vec<u32>>>,
         chunk: usize,
     },
+}
+
+/// FNV-1a over a byte string, length-prefixed so consecutive strings
+/// cannot run into each other.
+fn digest_bytes(h: &mut Fnv64, bytes: &[u8]) {
+    h.write(bytes.len() as u64);
+    for &b in bytes {
+        h.write(u64::from(b));
+    }
 }
 
 /// Multiply-xor string hasher for the composite-key maps. The replay
@@ -227,12 +271,17 @@ fn qualify_err(e: FreedomError, label: &str) -> FreedomError {
     }
 }
 
-fn csv_line_prefix(label: &str, lineno: usize) -> String {
+/// `trace CSV`, followed by the file label when there is one.
+fn csv_name(label: &str) -> String {
     if label.is_empty() {
-        format!("trace CSV line {}", lineno + 1)
+        "trace CSV".to_string()
     } else {
-        format!("trace CSV {label} line {}", lineno + 1)
+        format!("trace CSV {label}")
     }
+}
+
+fn csv_line_prefix(label: &str, lineno: usize) -> String {
+    format!("{} line {}", csv_name(label), lineno + 1)
 }
 
 /// Per-file scan result, merged in file order into the trace metadata.
@@ -252,6 +301,8 @@ struct FileScan {
     /// cross-seam lookahead violation is always one of these, so the
     /// merge pass attributes it exactly without a second scan.
     prefix_mins: Vec<(usize, u64)>,
+    /// Decompressed size of the file.
+    bytes: u64,
 }
 
 fn scan_file(file: &CsvFile, chunk: usize) -> Result<FileScan> {
@@ -275,8 +326,8 @@ fn scan_file(file: &CsvFile, chunk: usize) -> Result<FileScan> {
         if data_rows > 0 && row.minute.saturating_add(CSV_LOOKAHEAD_MINUTES) < m_max {
             return Err(FreedomError::InvalidArgument(format!(
                 "{}: minute {} arrives more than {CSV_LOOKAHEAD_MINUTES} minutes behind \
-                 minute {m_max}; the streaming reader's lookahead cannot reorder it (use \
-                 TraceSource::from_csv for arbitrarily-disordered files)",
+                 minute {m_max}; the streaming reader's lookahead cannot reorder it (sort \
+                 the rows by minute)",
                 csv_line_prefix(&file.label, lineno),
                 row.minute,
             )));
@@ -310,57 +361,25 @@ fn scan_file(file: &CsvFile, chunk: usize) -> Result<FileScan> {
         m_max,
         data_rows,
         prefix_mins,
+        bytes: reader.offset(),
     })
-}
-
-fn detect_gz(bytes: &CsvBytes) -> Result<bool> {
-    match bytes {
-        CsvBytes::Mem(data) => Ok(flate::is_gzip(data)),
-        CsvBytes::File(path) => {
-            let file = std::fs::File::open(path).map_err(|e| {
-                FreedomError::InvalidArgument(format!(
-                    "cannot read trace CSV {}: {e}",
-                    path.display()
-                ))
-            })?;
-            let mut magic = Vec::with_capacity(2);
-            file.take(2).read_to_end(&mut magic).map_err(|e| {
-                FreedomError::InvalidArgument(format!(
-                    "cannot read trace CSV {}: {e}",
-                    path.display()
-                ))
-            })?;
-            Ok(flate::is_gzip(&magic))
-        }
-    }
 }
 
 impl StreamTrace {
     /// A lazy trace over `n_functions` independent generator streams —
-    /// the streaming counterpart of [`TraceSource::generate`]. Performs
-    /// the scan pass sequentially.
+    /// the streaming counterpart of [`TraceSource::generate`]. The scan
+    /// pass fans out over every core; streams are pure functions of
+    /// `(seed, function index)`, so the metadata — and every event later
+    /// pulled — is bit-identical whatever the core count.
     pub fn generate(
         source: TraceSource,
         n_functions: usize,
         duration_secs: f64,
         seed: u64,
     ) -> Result<Self> {
-        Self::generate_sharded(source, n_functions, duration_secs, seed, 1)
-    }
-
-    /// Like [`StreamTrace::generate`] with the scan pass fanned out over
-    /// `threads` workers. Streams are pure functions of
-    /// `(seed, function index)`, so the metadata — and every event later
-    /// pulled — is bit-identical for every thread count.
-    pub fn generate_sharded(
-        source: TraceSource,
-        n_functions: usize,
-        duration_secs: f64,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Self> {
         source.validate(n_functions, duration_secs)?;
         let scan_epoch = std::time::Instant::now();
+        let threads = freedom_parallel::available_threads();
         let per_fn = freedom_parallel::par_run(n_functions, threads, |f| {
             let mut cursor = GenCursor::new(&source, duration_secs, stream_seed(seed, f));
             let mut count = 0usize;
@@ -385,6 +404,10 @@ impl StreamTrace {
             dur_nanos: scan_epoch.elapsed().as_nanos() as u64,
             gz: false,
         }];
+        let mut digest = Fnv64::new();
+        digest_bytes(&mut digest, format!("{source:?}").as_bytes());
+        digest.write(duration_secs.to_bits());
+        digest.write(seed);
         Ok(Self {
             spec: StreamSpec::Synthetic {
                 source,
@@ -394,117 +417,64 @@ impl StreamTrace {
             n_functions,
             len,
             horizon_nanos,
+            digest: digest.finish(),
             scan: Arc::new(scan),
         })
     }
 
-    /// Streaming counterpart of [`TraceSource::from_csv`]: scans the
-    /// rows once (validating the grammar and the
-    /// [`CSV_LOOKAHEAD_MINUTES`] ordering bound, building the
-    /// `(app, func)` key map) and holds the bytes for lazy replay.
-    pub fn from_csv(csv: &str) -> Result<Self> {
-        Self::from_csv_chunked(csv, CSV_CHUNK_BYTES)
-    }
-
-    /// Streaming counterpart of [`TraceSource::from_csv_path`]: the scan
-    /// reads the file once in [`CSV_CHUNK_BYTES`] chunks; replays re-read
-    /// it, so the file must not change while the trace is in use.
-    /// Gzip'd files (by magic bytes) are decompressed transparently.
-    pub fn from_csv_path(path: impl AsRef<Path>) -> Result<Self> {
-        Self::from_csv_files(&[path])
-    }
-
-    /// A multi-file trace: `paths` replay back to back as one logical
-    /// event stream, in the given order (for the Azure dataset, one file
-    /// per day). Each file is scanned in parallel, may carry its own
-    /// header row, and is gzip-decompressed when its first bytes are the
-    /// gzip magic. Minute order must hold **across** seams too: the
-    /// earliest rows of a file may trail the highest minute of earlier
-    /// files by at most [`CSV_LOOKAHEAD_MINUTES`]; violations name the
-    /// exact file and line.
+    /// A CSV trace read from files: `paths` replay back to back as one
+    /// logical event stream, in the given order (for the Azure dataset,
+    /// one file per day). The scan reads each file once, in parallel;
+    /// replays re-read them, so the files must not change while the
+    /// trace is in use. Each file may carry its own header row and is
+    /// gzip-decompressed when its first bytes are the gzip magic. Minute
+    /// order must hold **across** seams too: the earliest rows of a file
+    /// may trail the highest minute of earlier files by at most
+    /// [`CSV_LOOKAHEAD_MINUTES`]; violations name the exact file and
+    /// line.
     pub fn from_csv_files<P: AsRef<Path>>(paths: &[P]) -> Result<Self> {
-        let mut files = Vec::with_capacity(paths.len());
-        for path in paths {
-            let bytes = CsvBytes::File(path.as_ref().to_path_buf());
-            let gz = detect_gz(&bytes)?;
-            files.push(CsvFile {
-                bytes,
-                gz,
-                label: path.as_ref().display().to_string(),
-            });
-        }
+        let files = paths
+            .iter()
+            .map(|path| {
+                let path = path.as_ref();
+                CsvFile::new(
+                    CsvBytes::File(path.to_path_buf()),
+                    path.display().to_string(),
+                )
+            })
+            .collect::<Result<_>>()?;
         Self::from_parts(files, CSV_CHUNK_BYTES)
     }
 
-    /// A single gzip'd trace file. Unlike the auto-detecting
-    /// constructors this *requires* a gzip member: a garbage header is
-    /// reported as a decode error, never silently parsed as plain CSV.
-    pub fn from_csv_gz(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref();
-        Self::from_parts(
-            vec![CsvFile {
-                bytes: CsvBytes::File(path.to_path_buf()),
-                gz: true,
-                label: path.display().to_string(),
-            }],
-            CSV_CHUNK_BYTES,
-        )
-    }
-
-    /// In-memory variant of [`StreamTrace::from_csv_gz`] (gzip required,
-    /// garbage headers are decode errors).
-    pub fn from_csv_gz_bytes(data: &[u8]) -> Result<Self> {
-        Self::from_parts(
-            vec![CsvFile {
-                bytes: CsvBytes::Mem(Arc::from(data)),
-                gz: true,
-                label: String::new(),
-            }],
-            CSV_CHUNK_BYTES,
-        )
-    }
-
-    /// In-memory multi-file trace: each part is one logical file
+    /// A CSV trace held in memory: each part is one logical file
     /// (gzip-detected independently, own header allowed), replayed back
-    /// to back. Errors attribute parts as `part 1`, `part 2`, … when
-    /// there is more than one.
+    /// to back under the same rules as [`StreamTrace::from_csv_files`].
+    /// Errors attribute parts as `part 1`, `part 2`, … when there is
+    /// more than one; a single part's errors carry no label.
     pub fn from_csv_parts(parts: &[&[u8]]) -> Result<Self> {
         Self::from_csv_parts_chunked(parts, CSV_CHUNK_BYTES)
     }
 
-    /// [`StreamTrace::from_csv_parts`] with an explicit reader chunk
-    /// size, for tests that force records across chunk boundaries.
+    /// [`StreamTrace::from_csv_parts`] with an explicit reader chunk size
+    /// (clamped to ≥ 1 byte). Chunking is observable only in I/O
+    /// granularity — records straddling chunk boundaries parse
+    /// identically — which is what tests pin down by shrinking the chunk
+    /// to a few bytes.
+    #[doc(hidden)]
     pub fn from_csv_parts_chunked(parts: &[&[u8]], chunk_bytes: usize) -> Result<Self> {
         let files = parts
             .iter()
             .enumerate()
-            .map(|(i, part)| CsvFile {
-                bytes: CsvBytes::Mem(Arc::from(*part)),
-                gz: flate::is_gzip(part),
-                label: if parts.len() > 1 {
+            .map(|(i, part)| {
+                let label = if parts.len() > 1 {
                     format!("part {}", i + 1)
                 } else {
                     String::new()
-                },
+                };
+                CsvFile::new(CsvBytes::Mem(Arc::from(*part)), label)
             })
-            .collect();
+            .collect::<Result<_>>()?;
         Self::from_parts(files, chunk_bytes)
-    }
-
-    /// [`StreamTrace::from_csv`] with an explicit reader chunk size
-    /// (clamped to ≥ 1 byte). Chunking is observable only in I/O
-    /// granularity — records straddling chunk boundaries parse
-    /// identically — which is exactly what tests pin down by shrinking
-    /// the chunk to a few bytes.
-    pub fn from_csv_chunked(csv: &str, chunk_bytes: usize) -> Result<Self> {
-        Self::from_parts(
-            vec![CsvFile {
-                bytes: CsvBytes::Mem(Arc::from(csv.as_bytes())),
-                gz: false,
-                label: String::new(),
-            }],
-            chunk_bytes,
-        )
     }
 
     fn from_parts(files: Vec<CsvFile>, chunk: usize) -> Result<Self> {
@@ -515,12 +485,9 @@ impl StreamTrace {
         }
         // Per-file scans are independent (grammar, in-file ordering,
         // first-appearance key list, prefix-min ladder), so they fan out
-        // like the k-way cursor scan; the sequential merge below is
+        // like the generator scan; the sequential merge below is
         // O(files + functions).
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(files.len());
+        let threads = freedom_parallel::available_threads();
         let scan_epoch = std::time::Instant::now();
         let scans = freedom_parallel::par_run(files.len(), threads, |i| {
             let started = scan_epoch.elapsed().as_nanos() as u64;
@@ -535,8 +502,15 @@ impl StreamTrace {
         let mut last = f64::NEG_INFINITY;
         let mut data_rows = 0usize;
         let mut prior_max: Option<u64> = None;
+        // The input's identity: per-file decompressed size and line
+        // count, then the keys in first-appearance order. Paths and
+        // timings stay out, so moving or re-compressing the files keeps
+        // snapshots valid.
+        let mut digest = Fnv64::new();
         for (file, (scan, started, dur)) in files.iter().zip(scans) {
             let scan = scan?;
+            digest.write(scan.bytes);
+            digest.write(scan.row_fn.len() as u64);
             scan_timings.push(ScanTiming {
                 start_nanos: started,
                 dur_nanos: dur,
@@ -557,8 +531,7 @@ impl StreamTrace {
                     return Err(FreedomError::InvalidArgument(format!(
                         "{}: minute {minute} arrives more than {CSV_LOOKAHEAD_MINUTES} minutes \
                          behind minute {pm} carried across the file seam; the streaming \
-                         reader's lookahead cannot reorder it (use TraceSource::from_csv for \
-                         arbitrarily-disordered files)",
+                         reader's lookahead cannot reorder it (sort the rows by minute)",
                         csv_line_prefix(&file.label, lineno),
                     )));
                 }
@@ -574,7 +547,11 @@ impl StreamTrace {
             let mut remap = Vec::with_capacity(scan.keys.len());
             for key in scan.keys {
                 let next_index = keys.len() as u32;
-                remap.push(*keys.entry(key).or_insert(next_index));
+                let id = *keys.entry(key).or_insert_with_key(|key| {
+                    digest_bytes(&mut digest, key.as_bytes());
+                    next_index
+                });
+                remap.push(id);
             }
             row_fn.push(
                 scan.row_fn
@@ -599,6 +576,7 @@ impl StreamTrace {
             n_functions: keys.len(),
             len,
             horizon_nanos,
+            digest: digest.finish(),
             spec: StreamSpec::Csv {
                 files,
                 row_fn: Arc::new(row_fn),
@@ -628,6 +606,15 @@ impl StreamTrace {
     /// ticks are capped at.
     pub fn horizon_nanos(&self) -> u64 {
         self.horizon_nanos
+    }
+
+    /// A 64-bit identity of the input, fixed at scan time: for synthetic
+    /// traces the source, duration and seed; for CSV traces each file's
+    /// decompressed size and line count plus the function keys in
+    /// first-appearance order. Crash-resume snapshots carry it, so a
+    /// snapshot cannot resume on a different trace of the same shape.
+    pub(crate) fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// Replays the construction-time scan timings into a telemetry
@@ -669,50 +656,50 @@ impl StreamTrace {
 
     /// Opens the event stream at position 0.
     pub fn open(&self) -> Result<EventStream<'_>> {
-        match &self.spec {
+        let imp = match &self.spec {
             StreamSpec::Synthetic {
                 source,
                 duration_secs,
                 seed,
             } => {
-                let mut cursors = Vec::with_capacity(self.n_functions);
-                let mut pending = Vec::with_capacity(self.n_functions);
-                for f in 0..self.n_functions {
-                    let mut c = GenCursor::new(source, *duration_secs, stream_seed(*seed, f));
-                    pending.push(c.next_arrival());
-                    cursors.push(c);
-                }
-                Ok(EventStream {
-                    imp: StreamImp::Merge(MergeStream::new(cursors, pending)),
-                })
+                let mut cursors: Vec<GenCursor> = (0..self.n_functions)
+                    .map(|f| GenCursor::new(source, *duration_secs, stream_seed(*seed, f)))
+                    .collect();
+                let pending = cursors.iter_mut().map(GenCursor::next_arrival).collect();
+                CpImp::Merge { cursors, pending }
             }
-            StreamSpec::Csv {
-                files,
-                row_fn,
-                chunk,
-            } => Ok(EventStream {
-                imp: StreamImp::Csv(CsvStream {
-                    reader: MultiFileLines::open_at(files, 0, 0, 0, *chunk)?,
-                    row_fn,
-                    heap: BinaryHeap::new(),
-                    m_max: 0,
-                    exhausted: false,
-                    peak_open: 0,
-                }),
-            }),
-        }
+            StreamSpec::Csv { .. } => CpImp::Csv(CsvState::default()),
+        };
+        self.open_at(&StreamCheckpoint { imp })
     }
 
     /// Reopens the stream at a checkpoint previously taken from one of
     /// this trace's streams, replaying the identical suffix — the
     /// crash-resumed replay's epoch re-seek. Returns
-    /// [`FreedomError::InvalidArgument`] when the checkpoint belongs to
-    /// the other stream kind.
+    /// [`FreedomError::InvalidArgument`] when the checkpoint cannot
+    /// belong to this trace: the other stream kind, a cursor count other
+    /// than the function count, an open row naming an unknown function
+    /// or an exhausted or empty count, or a position past the end of its
+    /// file.
     pub fn open_at(&self, cp: &StreamCheckpoint) -> Result<EventStream<'_>> {
+        let bad = |what: String| {
+            Err(FreedomError::InvalidArgument(format!(
+                "stream checkpoint does not belong to this trace: {what}"
+            )))
+        };
         match (&self.spec, &cp.imp) {
-            (StreamSpec::Synthetic { .. }, CpImp::Merge { cursors, pending }) => Ok(EventStream {
-                imp: StreamImp::Merge(MergeStream::new(cursors.clone(), pending.clone())),
-            }),
+            (StreamSpec::Synthetic { .. }, CpImp::Merge { cursors, pending }) => {
+                if cursors.len() != self.n_functions {
+                    return bad(format!(
+                        "{} generator cursors for {} functions",
+                        cursors.len(),
+                        self.n_functions
+                    ));
+                }
+                Ok(EventStream {
+                    imp: StreamImp::Merge(MergeStream::new(cursors.clone(), pending.clone())),
+                })
+            }
             (
                 StreamSpec::Csv {
                     files,
@@ -720,32 +707,52 @@ impl StreamTrace {
                     chunk,
                 },
                 CpImp::Csv(state),
-            ) => Ok(EventStream {
-                imp: StreamImp::Csv(CsvStream {
-                    reader: MultiFileLines::open_at(
-                        files,
-                        state.file as usize,
-                        state.offset,
+            ) => {
+                let file = state.file as usize;
+                let Some(lines) = row_fn.get(file) else {
+                    return bad(format!("file {file} of a {}-file trace", files.len()));
+                };
+                if state.lineno > lines.len() {
+                    return bad(format!(
+                        "line {} of a {}-line file",
                         state.lineno,
-                        *chunk,
-                    )?,
-                    row_fn,
-                    heap: state.rows.iter().cloned().map(Reverse).collect(),
-                    m_max: state.m_max,
-                    exhausted: state.exhausted,
-                    peak_open: state.rows.len(),
-                }),
-            }),
-            _ => Err(FreedomError::InvalidArgument(
-                "stream checkpoint does not belong to this trace kind".into(),
-            )),
+                        lines.len()
+                    ));
+                }
+                if let Some(row) = state.rows.iter().find(|r| {
+                    r.function as usize >= self.n_functions || r.count == 0 || r.j >= r.count
+                }) {
+                    return bad(format!(
+                        "open row of function {} at arrival {} of {} ({} functions)",
+                        row.function, row.j, row.count, self.n_functions
+                    ));
+                }
+                Ok(EventStream {
+                    imp: StreamImp::Csv(CsvStream {
+                        reader: MultiFileLines::open_at(
+                            files,
+                            file,
+                            state.offset,
+                            state.lineno,
+                            *chunk,
+                        )?,
+                        row_fn,
+                        heap: state.rows.iter().cloned().map(Reverse).collect(),
+                        m_max: state.m_max,
+                        exhausted: state.exhausted,
+                        peak_open: state.rows.len(),
+                    }),
+                })
+            }
+            _ => bad("the other trace kind".into()),
         }
     }
 
-    /// The escape hatch: builds the fully materialized [`Trace`] of the
-    /// same specification. Tests diff the streaming pipeline against it;
-    /// callers that need random access pay the O(events) memory
-    /// knowingly.
+    /// The test oracle: builds the fully materialized [`Trace`] of the
+    /// same specification, O(events) in memory. Tests diff the streaming
+    /// pipeline against it, and it is the pre-decoded input of the
+    /// simulation-only reference replay
+    /// ([`FleetSimulator::run`](crate::fleet::FleetSimulator::run)).
     pub fn materialize(&self) -> Result<Trace> {
         match &self.spec {
             StreamSpec::Synthetic {
@@ -758,12 +765,9 @@ impl StreamTrace {
                 for (i, file) in files.iter().enumerate() {
                     let raw = match &file.bytes {
                         CsvBytes::Mem(data) => data.to_vec(),
-                        CsvBytes::File(path) => std::fs::read(path).map_err(|e| {
-                            FreedomError::InvalidArgument(format!(
-                                "cannot read trace CSV {}: {e}",
-                                path.display()
-                            ))
-                        })?,
+                        CsvBytes::File(path) => {
+                            std::fs::read(path).map_err(|e| cannot_read(path, e))?
+                        }
                     };
                     let raw = if file.gz {
                         flate::gunzip(&raw).map_err(|e| {
@@ -926,7 +930,7 @@ enum CpImp {
 }
 
 /// The CSV reader's resumable state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct CsvState {
     /// Index of the file holding the first unread line.
     file: u32,
@@ -1268,17 +1272,11 @@ impl<'a> MultiFileLines<'a> {
         lineno: usize,
         chunk: usize,
     ) -> Result<Self> {
-        let Some(file) = files.get(file_idx) else {
-            return Err(FreedomError::InvalidArgument(format!(
-                "stream checkpoint points at file {file_idx} of a {}-file trace",
-                files.len()
-            )));
-        };
         Ok(Self {
             files,
             chunk,
             file_idx,
-            cur: ChunkedLines::open(file, offset, lineno, chunk)?,
+            cur: ChunkedLines::open(&files[file_idx], offset, lineno, chunk)?,
         })
     }
 
@@ -1315,25 +1313,34 @@ impl<'a> MultiFileLines<'a> {
 
 /// The decompressed-byte feed behind a [`ChunkedLines`].
 enum ChunkSrc {
-    Mem {
-        data: Arc<[u8]>,
-        read: usize,
-    },
-    File(std::fs::File),
+    /// Plain bytes, read straight from the raw source.
+    Plain(ByteSrc),
     /// Gzip decode, inline with line splitting. Boxed: the inflater's
-    /// window dwarfs the other variants, and the feed is touched once
+    /// window dwarfs the other variant, and the feed is touched once
     /// per chunk, not per event.
     Gz(Box<GzFeed>),
 }
 
-/// Raw (compressed) byte source for the inflater.
+/// Raw (possibly compressed) byte source: fills the buffer, returns the
+/// bytes written, 0 at the end.
 type ByteSrc = Box<dyn FnMut(&mut [u8]) -> std::result::Result<usize, String> + Send>;
 
-fn raw_src(bytes: &CsvBytes) -> Result<ByteSrc> {
-    match bytes {
+/// The raw bytes of one input from byte `start` on. A start past the end
+/// is an error, never a silent clamp.
+fn raw_src(file: &CsvFile, start: u64) -> Result<ByteSrc> {
+    let past_end = |len: u64| {
+        FreedomError::InvalidArgument(format!(
+            "{}: resume offset {start} is past the end of the input ({len} bytes)",
+            csv_name(&file.label)
+        ))
+    };
+    match &file.bytes {
         CsvBytes::Mem(data) => {
+            if start > data.len() as u64 {
+                return Err(past_end(data.len() as u64));
+            }
             let data = Arc::clone(data);
-            let mut read = 0usize;
+            let mut read = start as usize;
             Ok(Box::new(move |buf: &mut [u8]| {
                 let n = (data.len() - read).min(buf.len());
                 buf[..n].copy_from_slice(&data[read..read + n]);
@@ -1342,14 +1349,15 @@ fn raw_src(bytes: &CsvBytes) -> Result<ByteSrc> {
             }))
         }
         CsvBytes::File(path) => {
-            let mut file = std::fs::File::open(path).map_err(|e| {
-                FreedomError::InvalidArgument(format!(
-                    "cannot read trace CSV {}: {e}",
-                    path.display()
-                ))
-            })?;
+            let mut f = std::fs::File::open(path).map_err(|e| cannot_read(path, e))?;
+            let len = f.metadata().map_err(|e| cannot_read(path, e))?.len();
+            if start > len {
+                return Err(past_end(len));
+            }
+            f.seek(SeekFrom::Start(start))
+                .map_err(|e| cannot_read(path, e))?;
             Ok(Box::new(move |buf: &mut [u8]| {
-                file.read(buf).map_err(|e| e.to_string())
+                f.read(buf).map_err(|e| e.to_string())
             }))
         }
     }
@@ -1361,9 +1369,9 @@ struct GzFeed {
 }
 
 impl GzFeed {
-    fn new(bytes: &CsvBytes) -> Result<Self> {
+    fn new(file: &CsvFile) -> Result<Self> {
         Ok(Self {
-            reader: flate::GzReader::new(raw_src(bytes)?),
+            reader: flate::GzReader::new(raw_src(file, 0)?),
             done: false,
         })
     }
@@ -1426,7 +1434,7 @@ impl ChunkedLines {
     fn open(file: &CsvFile, offset: u64, lineno: usize, chunk: usize) -> Result<Self> {
         let mut buf = Vec::new();
         let src = if file.gz {
-            let mut feed = GzFeed::new(&file.bytes)?;
+            let mut feed = GzFeed::new(file)?;
             if offset > 0 {
                 buf = feed.skip(offset, chunk.max(1)).map_err(|msg| {
                     FreedomError::InvalidArgument(format!(
@@ -1437,27 +1445,7 @@ impl ChunkedLines {
             }
             ChunkSrc::Gz(Box::new(feed))
         } else {
-            match &file.bytes {
-                CsvBytes::Mem(data) => ChunkSrc::Mem {
-                    data: Arc::clone(data),
-                    read: (offset as usize).min(data.len()),
-                },
-                CsvBytes::File(path) => {
-                    let mut f = std::fs::File::open(path).map_err(|e| {
-                        FreedomError::InvalidArgument(format!(
-                            "cannot read trace CSV {}: {e}",
-                            path.display()
-                        ))
-                    })?;
-                    f.seek(SeekFrom::Start(offset)).map_err(|e| {
-                        FreedomError::InvalidArgument(format!(
-                            "cannot seek trace CSV {}: {e}",
-                            path.display()
-                        ))
-                    })?;
-                    ChunkSrc::File(f)
-                }
-            }
+            ChunkSrc::Plain(raw_src(file, offset)?)
         };
         Ok(Self {
             src,
@@ -1539,11 +1527,7 @@ impl ChunkedLines {
     fn gz_err(&self, msg: &str) -> FreedomError {
         FreedomError::InvalidArgument(format!(
             "{} near line {}: {msg}",
-            if self.label.is_empty() {
-                "trace CSV".to_string()
-            } else {
-                format!("trace CSV {}", self.label)
-            },
+            csv_name(&self.label),
             self.lineno + 1
         ))
     }
@@ -1553,19 +1537,10 @@ impl ChunkedLines {
         self.buf.drain(..self.pos);
         self.pos = 0;
         match &mut self.src {
-            ChunkSrc::Mem { data, read } => {
-                let take = self.chunk.min(data.len() - *read);
-                self.buf.extend_from_slice(&data[*read..*read + take]);
-                *read += take;
-                if take == 0 {
-                    self.eof = true;
-                }
-            }
-            ChunkSrc::File(file) => {
+            ChunkSrc::Plain(src) => {
                 let start = self.buf.len();
                 self.buf.resize(start + self.chunk, 0);
-                let n = file
-                    .read(&mut self.buf[start..])
+                let n = src(&mut self.buf[start..])
                     .map_err(|e| FreedomError::InvalidArgument(format!("trace CSV read: {e}")))?;
                 self.buf.truncate(start + n);
                 if n == 0 {
@@ -1803,6 +1778,15 @@ mod tests {
         stream.events().collect()
     }
 
+    /// A single in-memory CSV input.
+    fn csv(text: &str) -> Result<StreamTrace> {
+        StreamTrace::from_csv_parts(&[text.as_bytes()])
+    }
+
+    fn csv_chunked(text: &str, chunk: usize) -> Result<StreamTrace> {
+        StreamTrace::from_csv_parts_chunked(&[text.as_bytes()], chunk)
+    }
+
     #[test]
     fn every_source_streams_the_materialized_events_bit_for_bit() {
         for source in SOURCES {
@@ -1817,10 +1801,6 @@ mod tests {
             );
             let events = drain(&mut lazy.open().unwrap());
             assert_eq!(events.as_slice(), full.events(), "{source:?}");
-            // The scan pass fans out bit-identically.
-            let sharded = StreamTrace::generate_sharded(source, 10, 200.0, 7, 8).unwrap();
-            assert_eq!(sharded.len(), lazy.len());
-            assert_eq!(sharded.horizon_nanos(), lazy.horizon_nanos());
         }
     }
 
@@ -1856,7 +1836,7 @@ mod tests {
     #[test]
     fn csv_stream_matches_materialized_reader() {
         for chunk in [3usize, 17, 64 * 1024] {
-            let lazy = StreamTrace::from_csv_chunked(AZURE_FIXTURE, chunk).unwrap();
+            let lazy = csv_chunked(AZURE_FIXTURE, chunk).unwrap();
             let full = TraceSource::from_csv(AZURE_FIXTURE).unwrap();
             assert_eq!(lazy.n_functions(), 6);
             assert_eq!(lazy.len(), 113);
@@ -1881,7 +1861,7 @@ mod tests {
 
     #[test]
     fn csv_negative_paths_report_accurate_line_numbers() {
-        let err = |csv: &str, chunk: usize| match StreamTrace::from_csv_chunked(csv, chunk) {
+        let err = |csv: &str, chunk: usize| match csv_chunked(csv, chunk) {
             Err(FreedomError::InvalidArgument(msg)) => msg,
             other => panic!("expected InvalidArgument, got {other:?}"),
         };
@@ -1902,7 +1882,7 @@ mod tests {
         // Functions interleaved out of minute order across chunk
         // boundaries stream fine within the lookahead bound...
         let ok = "a,f,9,1\nb,g,2,1\na,f,10,1\n";
-        let lazy = StreamTrace::from_csv_chunked(ok, 5).unwrap();
+        let lazy = csv_chunked(ok, 5).unwrap();
         let full = TraceSource::from_csv(ok).unwrap();
         assert_eq!(drain(&mut lazy.open().unwrap()).as_slice(), full.events());
         // ...but beyond it the scan rejects the file with the offending
@@ -1913,24 +1893,25 @@ mod tests {
         assert!(msg.contains("lookahead"), "{msg}");
         assert!(TraceSource::from_csv(disordered).is_ok());
         // Scan-time grammar errors match the materialized reader's.
-        assert!(StreamTrace::from_csv("").is_err());
-        assert!(StreamTrace::from_csv("app,func,minute,count\n").is_err());
-        assert!(StreamTrace::from_csv("a,f,0,1000001\n").is_err());
-        assert!(StreamTrace::from_csv_path("/nonexistent/trace.csv").is_err());
+        assert!(csv("").is_err());
+        assert!(csv("app,func,minute,count\n").is_err());
+        assert!(csv("a,f,0,1000001\n").is_err());
+        assert!(StreamTrace::from_csv_files(&["/nonexistent/trace.csv"]).is_err());
+        assert!(StreamTrace::from_csv_parts(&[]).is_err());
     }
 
     #[test]
     fn csv_streaming_handles_headers_zero_counts_and_crlf() {
         // Header skipped, zero-count rows register their function, CRLF
         // endings tolerated — all matching the materialized reader.
-        let csv = "app,func,minute,count\r\na,f,0,3\r\nb,g,1,0\r\n";
-        let lazy = StreamTrace::from_csv(csv).unwrap();
+        let text = "app,func,minute,count\r\na,f,0,3\r\nb,g,1,0\r\n";
+        let lazy = csv(text).unwrap();
         assert_eq!(lazy.n_functions(), 2);
         assert_eq!(lazy.len(), 3);
-        let full = TraceSource::from_csv(csv).unwrap();
+        let full = TraceSource::from_csv(text).unwrap();
         assert_eq!(drain(&mut lazy.open().unwrap()).as_slice(), full.events());
         // An empty trace of registered functions is well-formed.
-        let empty = StreamTrace::from_csv("a,f,0,0\n").unwrap();
+        let empty = csv("a,f,0,0\n").unwrap();
         assert!(empty.is_empty());
         assert_eq!(empty.horizon_nanos(), 0);
         assert!(drain(&mut empty.open().unwrap()).is_empty());
@@ -1942,8 +1923,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("azure.csv");
         std::fs::write(&path, AZURE_FIXTURE).unwrap();
-        let lazy = StreamTrace::from_csv_path(&path).unwrap();
-        let full = TraceSource::from_csv_path(&path).unwrap();
+        let lazy = StreamTrace::from_csv_files(&[&path]).unwrap();
+        let full = TraceSource::from_csv(AZURE_FIXTURE).unwrap();
         let events = drain(&mut lazy.open().unwrap());
         assert_eq!(events.as_slice(), full.events());
         let mut stream = lazy.open().unwrap();
@@ -1961,11 +1942,79 @@ mod tests {
     #[test]
     fn checkpoint_kind_mismatch_is_rejected() {
         let synthetic = StreamTrace::generate(SOURCES[0], 3, 30.0, 1).unwrap();
-        let csv = StreamTrace::from_csv("a,f,0,2\n").unwrap();
+        let csv = csv("a,f,0,2\n").unwrap();
         let cp = synthetic.open().unwrap().checkpoint();
         assert!(csv.open_at(&cp).is_err());
         let cp = csv.open().unwrap().checkpoint();
         assert!(synthetic.open_at(&cp).is_err());
+    }
+
+    #[test]
+    fn corrupt_checkpoints_are_rejected_with_typed_errors() {
+        let rejects =
+            |trace: &StreamTrace, cp: &StreamCheckpoint, what: &str| match trace.open_at(cp) {
+                Err(FreedomError::InvalidArgument(_)) => {}
+                Err(other) => panic!("{what}: expected InvalidArgument, got {other:?}"),
+                Ok(_) => panic!("{what}: corrupt checkpoint accepted"),
+            };
+        // Synthetic: one cursor per function, no more, no less.
+        let synthetic = StreamTrace::generate(SOURCES[0], 3, 30.0, 1).unwrap();
+        let good = synthetic.open().unwrap().checkpoint();
+        assert!(synthetic.open_at(&good).is_ok());
+        let CpImp::Merge { cursors, pending } = &good.imp else {
+            unreachable!("synthetic traces checkpoint their cursors")
+        };
+        for n in [2, 4] {
+            let cp = StreamCheckpoint {
+                imp: CpImp::Merge {
+                    cursors: cursors.iter().cycle().take(n).cloned().collect(),
+                    pending: pending.iter().cycle().take(n).copied().collect(),
+                },
+            };
+            rejects(&synthetic, &cp, &format!("{n} cursors"));
+        }
+        // CSV: a real mid-stream checkpoint with open rows, each field
+        // corrupted in turn.
+        let trace = csv_chunked(AZURE_FIXTURE, 17).unwrap();
+        let mut stream = trace.open().unwrap();
+        for _ in 0..40 {
+            stream.next();
+        }
+        let good = stream.checkpoint();
+        assert!(trace.open_at(&good).is_ok());
+        let CpImp::Csv(state) = &good.imp else {
+            unreachable!("CSV traces checkpoint their reader")
+        };
+        assert!(!state.rows.is_empty(), "the checkpoint holds open rows");
+        let corrupt = |edit: &dyn Fn(&mut CsvState)| {
+            let mut state = state.clone();
+            edit(&mut state);
+            StreamCheckpoint {
+                imp: CpImp::Csv(state),
+            }
+        };
+        let n = trace.n_functions() as u32;
+        let lines = AZURE_FIXTURE.lines().count();
+        let check = |what: &str, edit: &dyn Fn(&mut CsvState)| {
+            rejects(&trace, &corrupt(edit), what);
+        };
+        check("unknown function", &|s| s.rows[0].function = n);
+        check("zero count", &|s| {
+            s.rows[0].count = 0;
+            s.rows[0].j = 0;
+        });
+        check("exhausted row", &|s| s.rows[0].j = s.rows[0].count);
+        check("line past the file", &|s| s.lineno = lines + 1);
+        check("file past the list", &|s| s.file = 1);
+        check("offset past the part", &|s| {
+            s.offset = AZURE_FIXTURE.len() as u64 + 1
+        });
+        // The end of the input is a valid position, not a corruption.
+        let at_end = corrupt(&|s| {
+            s.offset = AZURE_FIXTURE.len() as u64;
+            s.lineno = lines;
+        });
+        assert!(trace.open_at(&at_end).is_ok());
     }
 
     // ---- gzip and multi-file ingestion ------------------------------
@@ -1975,9 +2024,9 @@ mod tests {
         // Known bytes → known rows: the checked-in gzip fixture must
         // replay exactly like its plain-text source, through both the
         // file-backed and in-memory paths.
-        let plain = StreamTrace::from_csv(AZURE_FIXTURE).unwrap();
+        let plain = csv(AZURE_FIXTURE).unwrap();
         let reference = drain(&mut plain.open().unwrap());
-        let gz = StreamTrace::from_csv_gz_bytes(AZURE_FIXTURE_GZ).unwrap();
+        let gz = StreamTrace::from_csv_parts(&[AZURE_FIXTURE_GZ]).unwrap();
         assert_eq!(gz.n_functions(), plain.n_functions());
         assert_eq!(gz.len(), plain.len());
         assert_eq!(gz.horizon_nanos(), plain.horizon_nanos());
@@ -1986,12 +2035,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("azure.csv.gz");
         std::fs::write(&path, AZURE_FIXTURE_GZ).unwrap();
-        let from_file = StreamTrace::from_csv_gz(&path).unwrap();
+        let from_file = StreamTrace::from_csv_files(&[&path]).unwrap();
+        assert_eq!(from_file.len(), plain.len());
         assert_eq!(drain(&mut from_file.open().unwrap()), reference);
-        // Auto-detection picks the gz path too.
-        let detected = StreamTrace::from_csv_path(&path).unwrap();
-        assert_eq!(drain(&mut detected.open().unwrap()), reference);
-        // And the materialized escape hatch agrees.
+        // And the materialized oracle agrees.
         let full = from_file.materialize().unwrap();
         assert_eq!(reference.as_slice(), full.events());
         std::fs::remove_dir_all(&dir).ok();
@@ -2001,8 +2048,8 @@ mod tests {
     fn gz_streams_match_plain_for_both_compress_modes() {
         for mode in [CompressMode::Stored, CompressMode::FixedHuffman] {
             let gz_bytes = gzip_compress(AZURE_FIXTURE.as_bytes(), mode);
-            let gz = StreamTrace::from_csv_gz_bytes(&gz_bytes).unwrap();
-            let plain = StreamTrace::from_csv(AZURE_FIXTURE).unwrap();
+            let gz = StreamTrace::from_csv_parts(&[&gz_bytes]).unwrap();
+            let plain = csv(AZURE_FIXTURE).unwrap();
             let reference = drain(&mut plain.open().unwrap());
             assert_eq!(drain(&mut gz.open().unwrap()), reference, "{mode:?}");
             // Checkpoints into the middle of the gzip stream re-seek by
@@ -2023,13 +2070,16 @@ mod tests {
     #[test]
     fn gz_negative_paths_are_file_qualified_and_line_accurate() {
         let gz = gzip_compress(AZURE_FIXTURE.as_bytes(), CompressMode::FixedHuffman);
-        let err = |bytes: &[u8]| match StreamTrace::from_csv_gz_bytes(bytes) {
+        let err = |bytes: &[u8]| match StreamTrace::from_csv_parts(&[bytes]) {
             Err(FreedomError::InvalidArgument(msg)) => msg,
             other => panic!("expected InvalidArgument, got {other:?}"),
         };
-        // Garbage member header: from_csv_gz* requires a gzip member.
-        let msg = err(b"app,func,minute,count\na,f,0,1\n");
-        assert!(msg.contains("bad gzip member header"), "{msg}");
+        // The gzip magic followed by a garbage member header is a decode
+        // error, never silently parsed as plain CSV.
+        let mut bad_header = gz.clone();
+        bad_header[2] = 7;
+        let msg = err(&bad_header);
+        assert!(msg.contains("unsupported gzip compression method"), "{msg}");
         assert!(msg.contains("near line 1"), "{msg}");
         // Truncated stream: decode dies mid-file with the line reached.
         let msg = err(&gz[..gz.len() / 2]);
@@ -2046,14 +2096,14 @@ mod tests {
         for b in corrupt.iter_mut().skip(20).take(16) {
             *b = 0xff;
         }
-        let res = StreamTrace::from_csv_gz_bytes(&corrupt);
+        let res = StreamTrace::from_csv_parts(&[&corrupt]);
         assert!(res.is_err(), "corrupted block must not scan cleanly");
         // File-backed errors carry the path.
         let dir = std::env::temp_dir().join(format!("freedom_gz_neg_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("broken.csv.gz");
         std::fs::write(&path, &gz[..gz.len() - 3]).unwrap();
-        match StreamTrace::from_csv_gz(&path) {
+        match StreamTrace::from_csv_files(&[&path]) {
             Err(FreedomError::InvalidArgument(msg)) => {
                 assert!(msg.contains("broken.csv.gz"), "{msg}");
                 assert!(msg.contains("truncated gzip stream"), "{msg}");
@@ -2074,7 +2124,7 @@ mod tests {
         let part3 = "b,g,4,1\na,f,5,2\n";
         let concat = "app,func,minute,count\na,f,0,3\nb,g,1,2\na,f,2,1\na,f,2,2\nc,h,3,4\n\
                       b,g,4,1\na,f,5,2\n";
-        let reference_trace = StreamTrace::from_csv(concat).unwrap();
+        let reference_trace = csv(concat).unwrap();
         let reference = drain(&mut reference_trace.open().unwrap());
         for chunk in [3usize, 64 * 1024] {
             let multi = StreamTrace::from_csv_parts_chunked(
@@ -2090,8 +2140,8 @@ mod tests {
                 reference,
                 "chunk {chunk}"
             );
-            // The materialized escape hatch strips the per-file headers
-            // and agrees too.
+            // The materialized oracle strips the per-file headers and
+            // agrees too.
             assert_eq!(
                 drain(&mut multi.open().unwrap()).as_slice(),
                 multi.materialize().unwrap().events(),
@@ -2120,7 +2170,7 @@ mod tests {
         let ok1 = "a,f,9,1\n";
         let ok2 = "b,g,2,1\na,f,10,1\n";
         let multi = StreamTrace::from_csv_parts(&[ok1.as_bytes(), ok2.as_bytes()]).unwrap();
-        let concat = StreamTrace::from_csv("a,f,9,1\nb,g,2,1\na,f,10,1\n").unwrap();
+        let concat = csv("a,f,9,1\nb,g,2,1\na,f,10,1\n").unwrap();
         assert_eq!(
             drain(&mut multi.open().unwrap()),
             drain(&mut concat.open().unwrap())
@@ -2139,8 +2189,7 @@ mod tests {
             }
             other => panic!("expected InvalidArgument, got {other:?}"),
         }
-        // The materialized reader remains the escape hatch.
-        // (Concatenating the same rows is accepted there.)
+        // The materialized oracle accepts the same rows in any order.
         assert!(TraceSource::from_csv("a,f,30,1\nx,y,29,1\nb,g,2,1\n").is_ok());
         // In-file grammar errors name their part.
         let good = "a,f,0,1\n";
@@ -2162,17 +2211,15 @@ mod tests {
         let part2 = "appB,f2,1,1\nappC,f3,1,1\nappA,f1,1,1\n";
         let multi = StreamTrace::from_csv_parts(&[part1.as_bytes(), part2.as_bytes()]).unwrap();
         assert_eq!(multi.n_functions(), 3);
-        let concat = StreamTrace::from_csv(
-            "appA,f1,0,1\nappB,f2,0,1\nappB,f2,1,1\nappC,f3,1,1\nappA,f1,1,1\n",
-        )
-        .unwrap();
+        let concat =
+            csv("appA,f1,0,1\nappB,f2,0,1\nappB,f2,1,1\nappC,f3,1,1\nappA,f1,1,1\n").unwrap();
         assert_eq!(
             drain(&mut multi.open().unwrap()),
             drain(&mut concat.open().unwrap())
         );
         // The composite key disambiguates app/func boundaries:
         // ("ab","c") and ("a","bc") are distinct functions.
-        let tricky = StreamTrace::from_csv("ab,c,0,1\na,bc,0,1\n").unwrap();
+        let tricky = csv("ab,c,0,1\na,bc,0,1\n").unwrap();
         assert_eq!(tricky.n_functions(), 2);
     }
 
@@ -2201,12 +2248,7 @@ mod tests {
         )
         .unwrap();
         let multi = StreamTrace::from_csv_files(&[&day1, &day2]).unwrap();
-        let reference = drain(
-            &mut StreamTrace::from_csv(AZURE_FIXTURE)
-                .unwrap()
-                .open()
-                .unwrap(),
-        );
+        let reference = drain(&mut csv(AZURE_FIXTURE).unwrap().open().unwrap());
         let events = drain(&mut multi.open().unwrap());
         assert_eq!(events, reference);
         // A checkpoint inside the gz'd second file reopens exactly

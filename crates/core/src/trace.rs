@@ -14,18 +14,17 @@
 //!   popularity and Lomax (heavy-tailed) inter-arrival times.
 //!
 //! Every generator produces one **independent stream per function**,
-//! seeded as a pure function of `(seed, function index)`. That is the
-//! property the sharded fleet replay relies on: a function's stream never
-//! depends on how many other functions exist or which thread generated
-//! it, so `generate` and [`TraceSource::generate_sharded`] are
-//! bit-identical. The merged event view is built with a k-way streaming
-//! merge over the per-function streams (no global sort).
+//! seeded as a pure function of `(seed, function index)`: a function's
+//! stream never depends on how many other functions exist or which
+//! thread generated it, so generation fans out over every core with
+//! bit-identical results. The merged event view is built with a k-way
+//! streaming merge over the per-function streams (no global sort).
 //!
-//! Each generator is implemented as a resumable [`GenCursor`] — the
-//! per-function event cursor the streaming pipeline
-//! ([`crate::stream::StreamTrace`]) pulls from lazily. The materialized
-//! [`Trace`] drains the very same cursor into a `Vec`, so the two
-//! representations are bit-identical by construction.
+//! Each generator is implemented as a resumable per-function event
+//! cursor that the streaming pipeline ([`crate::stream::StreamTrace`],
+//! the replay's trace front end) pulls from lazily. The materialized
+//! [`Trace`] — the test oracle — drains the very same cursor into a
+//! `Vec`, so the two representations are bit-identical by construction.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -179,8 +178,8 @@ pub enum TraceSource {
     },
     /// "Serverless in the Wild"-shaped traffic: each function's rate is
     /// `mean_rps` scaled by a Pareto(1, α) popularity weight (normalized
-    /// to keep the fleet-wide mean near `mean_rps`, truncated at
-    /// [`MAX_POPULARITY`]), and its inter-arrival times are Lomax(α)
+    /// to keep the fleet-wide mean near `mean_rps`, truncated at 256),
+    /// and its inter-arrival times are Lomax(α)
     /// distributed — heavy-tailed gaps punctuated by clustered arrivals.
     HeavyTail {
         /// Target mean arrival rate per function.
@@ -192,8 +191,9 @@ pub enum TraceSource {
 
 impl TraceSource {
     /// Parses an Azure-Functions-style invocation-count CSV into a
-    /// [`Trace`], completing the "Serverless in the Wild" loop with real
-    /// trace files instead of synthetic generators.
+    /// materialized [`Trace`]: the oracle the streaming CSV reader
+    /// ([`crate::stream::StreamTrace::from_csv_parts`]) is diffed
+    /// against.
     ///
     /// Expected rows are `app,func,minute,count`: `count` invocations of
     /// function `func` of application `app` during minute `minute`
@@ -242,37 +242,17 @@ impl TraceSource {
         Ok(Trace::from_streams(streams))
     }
 
-    /// Reads [`TraceSource::from_csv`] input from a file.
-    pub fn from_csv_path(path: impl AsRef<std::path::Path>) -> Result<Trace> {
-        let path = path.as_ref();
-        let csv = std::fs::read_to_string(path).map_err(|e| {
-            FreedomError::InvalidArgument(format!("cannot read trace CSV {}: {e}", path.display()))
-        })?;
-        Self::from_csv(&csv)
-    }
-
     /// Generates `n_functions` independent streams over `duration_secs`
-    /// seconds and merges them into a [`Trace`].
+    /// seconds and merges them into a materialized [`Trace`], the
+    /// streams fanned out over every core (bit-identical to sequential
+    /// generation).
     ///
     /// Returns [`FreedomError::InvalidArgument`] for non-positive
     /// durations, zero functions, or parameters outside each variant's
     /// domain (see the variant docs).
     pub fn generate(&self, n_functions: usize, duration_secs: f64, seed: u64) -> Result<Trace> {
-        self.generate_sharded(n_functions, duration_secs, seed, 1)
-    }
-
-    /// Like [`TraceSource::generate`], with stream generation fanned out
-    /// over `threads` workers. Streams are pure functions of
-    /// `(seed, function index)`, so the result is bit-identical to the
-    /// sequential path for every thread count.
-    pub fn generate_sharded(
-        &self,
-        n_functions: usize,
-        duration_secs: f64,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Trace> {
         self.validate(n_functions, duration_secs)?;
+        let threads = freedom_parallel::available_threads();
         let streams = freedom_parallel::par_run(n_functions, threads, |f| {
             self.stream(duration_secs, stream_seed(seed, f))
         });
@@ -800,9 +780,13 @@ mod tests {
                 .iter()
                 .all(|e| e.at_secs > 0.0 && e.at_secs < 200.0));
             assert_eq!(a.len(), (0..10).map(|f| a.stream(f).len()).sum::<usize>());
-            // Same seed replays identically; generation threads are
-            // immaterial; different seeds diverge.
-            let b = source.generate_sharded(10, 200.0, 7, 8).unwrap();
+            // Same seed replays identically, generated on every core or
+            // drained sequentially; different seeds diverge.
+            let b = Trace::from_streams(
+                (0..10)
+                    .map(|f| source.stream(200.0, stream_seed(7, f)))
+                    .collect(),
+            );
             assert_eq!(a.events(), b.events(), "{source:?} diverged across threads");
             let c = source.generate(10, 200.0, 8).unwrap();
             assert_ne!(a.events(), c.events(), "{source:?} ignored the seed");
@@ -960,8 +944,6 @@ mod tests {
         assert_eq!(trace.n_functions(), 2);
         assert_eq!(trace.len(), 3);
         assert!(trace.stream(1).is_empty());
-        // Missing file.
-        assert!(TraceSource::from_csv_path("/nonexistent/trace.csv").is_err());
     }
 
     #[test]

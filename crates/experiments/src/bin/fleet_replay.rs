@@ -70,11 +70,10 @@ fn main() {
     } else {
         duration_secs
     };
-    let threads = opts.effective_threads();
     let plans =
         exp::fleet_simulation::synthetic_plans(n_functions, 4).expect("synthetic fleet plans");
     let sim = FleetSimulator::new(plans).expect("fleet simulator");
-    let trace = StreamTrace::generate_sharded(
+    let trace = StreamTrace::generate(
         TraceSource::HeavyTail {
             mean_rps: 0.5,
             alpha: 1.5,
@@ -82,7 +81,6 @@ fn main() {
         n_functions,
         duration_secs,
         opts.seed,
-        threads,
     )
     .expect("trace generation");
     let tight = exp::fleet_simulation::market_tightness()[2];

@@ -300,7 +300,6 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<ControlLoopResult> {
     } else {
         duration_secs
     };
-    let threads = opts.effective_threads();
     let plans = (0..n_functions)
         .map(|i| base_plans[i % base_plans.len()].clone())
         .collect();
@@ -312,9 +311,7 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<ControlLoopResult> {
     let sources = trace_sources(duration_secs);
     let traces = sources
         .iter()
-        .map(|(_, source)| {
-            StreamTrace::generate_sharded(*source, n_functions, duration_secs, opts.seed, threads)
-        })
+        .map(|(_, source)| StreamTrace::generate(*source, n_functions, duration_secs, opts.seed))
         .collect::<freedom::Result<Vec<_>>>()?;
     let tightness = market_tightness();
     let presets = controller_presets(planner.admission_policy());

@@ -313,13 +313,12 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<RetryStormResult> {
     } else {
         duration_secs
     };
-    let threads = opts.effective_threads();
     let plans = (0..n_functions)
         .map(|i| base_plans[i % base_plans.len()].clone())
         .collect();
     let sim = FleetSimulator::new(plans)?;
 
-    let trace = StreamTrace::generate_sharded(
+    let trace = StreamTrace::generate(
         TraceSource::HeavyTail {
             mean_rps: 0.5,
             alpha: 1.5,
@@ -327,7 +326,6 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<RetryStormResult> {
         n_functions,
         duration_secs,
         opts.seed,
-        threads,
     )?;
 
     // The tight preset: scarce enough that retries compete with first

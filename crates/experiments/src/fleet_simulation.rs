@@ -9,11 +9,13 @@
 //!
 //! The sweep covers every [`TraceSource`] workload shape (Poisson,
 //! bursty, diurnal, heavy-tail, plus the checked-in Azure CSV fixture
-//! replayed through [`TraceSource::from_csv`]) × market tightness (how
+//! read through [`StreamTrace::from_csv_parts`]) × market tightness (how
 //! much warm capacity exists and how hard its supply fluctuates) ×
 //! admission policy (greedy vs. the planner-emitted headroom
-//! controller). Each replay is one sequential pass
-//! ([`FleetSimulator::run`]); the sweep cells fan out across cores. At
+//! controller). Every source streams: each replay is one sequential pass
+//! over a [`StreamTrace`]
+//! ([`FleetSimulator::run_stream_traced`]); the sweep cells fan out
+//! across cores. At
 //! default settings the fleet is 120 functions under an hour of traffic,
 //! at `--fast` a 12-function, two-minute smoke of the same code paths.
 
@@ -368,7 +370,6 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<FleetSimResult> {
     ];
 
     let (duration_secs, n_functions) = fleet_scale(opts);
-    let threads = opts.effective_threads();
     let cycle = |n: usize| -> Vec<FunctionPlan> {
         (0..n)
             .map(|i| base_plans[i % base_plans.len()].clone())
@@ -376,24 +377,27 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<FleetSimResult> {
     };
     let sim = FleetSimulator::new(cycle(n_functions))?;
 
-    let sources = trace_sources(duration_secs);
-    let traces = sources
+    // Traces stay lazy: each replay pulls its events from the generator
+    // cursors or the CSV reader, never the merged view.
+    let mut traces = trace_sources(duration_secs)
         .iter()
         .map(|(label, source)| {
             Ok((
                 *label,
-                source.generate_sharded(n_functions, duration_secs, opts.seed, threads)?,
+                StreamTrace::generate(*source, n_functions, duration_secs, opts.seed)?,
             ))
         })
         .collect::<freedom::Result<Vec<_>>>()?;
-    // The fifth source replays the checked-in Azure fixture through the
-    // **streaming** CSV reader — rows in, events out, never the merged
-    // view — the path full-size Azure trace files take. Its
-    // per-(app, func) streams dictate their own fleet size, so it gets
-    // its own simulator over the same cycled base plans.
-    let azure_trace = StreamTrace::from_csv(AZURE_FIXTURE)?;
-    let azure_sim = FleetSimulator::new(cycle(azure_trace.n_functions()))?;
-    let n_sources = traces.len() + 1;
+    // The fifth source replays the checked-in Azure fixture — the path
+    // full-size Azure trace files take. Its per-(app, func) streams
+    // dictate their own fleet size, so it gets its own simulator over
+    // the same cycled base plans.
+    traces.push((
+        "azure",
+        StreamTrace::from_csv_parts(&[AZURE_FIXTURE.as_bytes()])?,
+    ));
+    let azure_sim = FleetSimulator::new(cycle(traces[traces.len() - 1].1.n_functions()))?;
+    let n_sources = traces.len();
 
     // Each sweep cell replays its trace twice (baseline + idle-aware);
     // the cells are independent, so they fan out across workers.
@@ -409,33 +413,23 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<FleetSimResult> {
             market: market_config(&tightness[tight_idx], admission),
             ..FleetConfig::default()
         };
-        // Generated traces are materialized; the CSV source replays
-        // through the streaming entry point.
-        let (source_label, functions, baseline, idle_aware) =
-            if let Some((source_label, trace)) = traces.get(source_idx) {
-                let replay = |strategy| sim.run(trace, strategy, &config);
-                (
-                    *source_label,
-                    trace.n_functions(),
-                    replay(PlacementStrategy::BestConfigOnly)?,
-                    replay(PlacementStrategy::IdleAware)?,
-                )
-            } else {
-                let replay = |strategy| {
-                    azure_sim
-                        .run_stream_traced(&azure_trace, strategy, &config, &mut NoopRecorder)
-                        .map(|(report, _)| report)
-                };
-                (
-                    "azure",
-                    azure_trace.n_functions(),
-                    replay(PlacementStrategy::BestConfigOnly)?,
-                    replay(PlacementStrategy::IdleAware)?,
-                )
-            };
+        let (source_label, trace) = &traces[source_idx];
+        let sim = if source_idx + 1 == n_sources {
+            &azure_sim
+        } else {
+            &sim
+        };
+        let replay = |strategy| {
+            sim.run_stream_traced(trace, strategy, &config, &mut NoopRecorder)
+                .map(|(report, _)| report)
+        };
+        let (baseline, idle_aware) = (
+            replay(PlacementStrategy::BestConfigOnly)?,
+            replay(PlacementStrategy::IdleAware)?,
+        );
         Ok(FleetRow {
             source: source_label,
-            functions,
+            functions: trace.n_functions(),
             tightness: tightness[tight_idx].label,
             policy: policy_label,
             baseline,

@@ -266,13 +266,12 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<ZoneOutageResult> {
     } else {
         duration_secs
     };
-    let threads = opts.effective_threads();
     let plans = (0..n_functions)
         .map(|i| base_plans[i % base_plans.len()].clone())
         .collect();
     let sim = FleetSimulator::new(plans)?;
 
-    let trace = StreamTrace::generate_sharded(
+    let trace = StreamTrace::generate(
         TraceSource::HeavyTail {
             mean_rps: 0.5,
             alpha: 1.5,
@@ -280,7 +279,6 @@ pub fn run(opts: &ExperimentOpts) -> freedom::Result<ZoneOutageResult> {
         n_functions,
         duration_secs,
         opts.seed,
-        threads,
     )?;
 
     // The tight preset: scarce and volatile, so zone failures displace

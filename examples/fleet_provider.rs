@@ -15,8 +15,8 @@
 //! users' latency against the always-best-config baseline.
 
 use faas_freedom::core::fleet::{
-    ControlConfig, ControllerConfig, FleetConfig, FleetSimulator, FunctionPlan, PidConfig,
-    PlacementStrategy, SupplyProcess, Trace,
+    ControlConfig, ControllerConfig, FleetConfig, FleetSimulator, FunctionPlan, NoopRecorder,
+    PidConfig, PlacementStrategy, StreamTrace, SupplyProcess, TraceSource,
 };
 use faas_freedom::core::market::MarketConfig;
 use faas_freedom::optimizer::SearchSpace;
@@ -51,13 +51,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     }
 
-    // 2. Five minutes of Poisson traffic at 0.5 rps per function.
-    let trace = Trace::poisson(300.0, 0.5, 42)?;
+    // 2. Five minutes of Poisson traffic at 0.5 rps per function, one
+    //    lazily generated stream per function, in plan order.
+    let poisson = TraceSource::Poisson {
+        rps_per_function: 0.5,
+    };
+    let trace = StreamTrace::generate(poisson, FunctionKind::ALL.len(), 300.0, 42)?;
     println!("\nreplaying {} invocations...", trace.len());
 
     // 3. Both policies on the same trace, fleet, and fluctuating
     //    market, each replayed in one sequential pass.
     let sim = FleetSimulator::new(plans)?;
+    let replay = |strategy, config: &FleetConfig| {
+        sim.run_stream_traced(&trace, strategy, config, &mut NoopRecorder)
+            .map(|(report, _)| report)
+    };
     let config = FleetConfig {
         market: MarketConfig {
             vms_per_family: 2,
@@ -71,8 +79,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         ..FleetConfig::default()
     };
-    let baseline = sim.run(&trace, PlacementStrategy::BestConfigOnly, &config)?;
-    let idle_aware = sim.run(&trace, PlacementStrategy::IdleAware, &config)?;
+    let baseline = replay(PlacementStrategy::BestConfigOnly, &config)?;
+    let idle_aware = replay(PlacementStrategy::IdleAware, &config)?;
 
     println!(
         "\nbaseline  : ${:.4} total, latency inflation 1.000 (by definition)",
@@ -108,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         ..config
     };
-    let closed = sim.run(&trace, PlacementStrategy::IdleAware, &closed_config)?;
+    let closed = replay(PlacementStrategy::IdleAware, &closed_config)?;
     let final_ceiling = closed
         .control
         .last()

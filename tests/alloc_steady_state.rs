@@ -84,7 +84,7 @@ fn csv_trace(per_minute: u32) -> StreamTrace {
             writeln!(s, "app{f},fn{f},{minute},{per_minute}").unwrap();
         }
     }
-    StreamTrace::from_csv(&s).unwrap()
+    StreamTrace::from_csv_parts(&[s.as_bytes()]).unwrap()
 }
 
 /// Allocation events of the process so far.

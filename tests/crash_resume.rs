@@ -407,7 +407,7 @@ fn changed_csv_panics_on_the_caller_instead_of_hanging() {
         }
     }
     std::fs::write(&path, &csv).unwrap();
-    let lazy = StreamTrace::from_csv_path(&path).unwrap();
+    let lazy = StreamTrace::from_csv_files(&[&path]).unwrap();
 
     // Same length, but minute 19 now opens the file: the minute-0 rows
     // behind it break the lookahead bound the scan validated.
@@ -506,7 +506,7 @@ fn kill_in_an_arrival_gap_resumes_bit_identically() {
             csv.push_str(&format!("app{f},fn{f},{minute},{}\n", 2 + f));
         }
     }
-    let lazy = StreamTrace::from_csv(&csv).unwrap();
+    let lazy = StreamTrace::from_csv_parts(&[csv.as_bytes()]).unwrap();
     let plans =
         freedom_experiments::fleet_simulation::synthetic_plans(FunctionKind::ALL.len(), 4).unwrap();
     let sim = FleetSimulator::new(plans).unwrap();
@@ -551,5 +551,110 @@ fn kill_in_an_arrival_gap_resumes_bit_identically() {
             format!("{resumed:?}"),
             "resume from epoch {kill_at} diverged"
         );
+    }
+}
+
+/// A snapshot names the trace it was cut from, not just its shape: two
+/// CSV traces with the same event count, horizon and function count but
+/// different rows must not resume from each other's snapshots. The
+/// resume fails up front with a typed error instead of replaying
+/// another trace's reader position, whose open rows name lines and
+/// functions this trace does not have.
+#[test]
+fn snapshot_of_another_trace_with_the_same_shape_is_rejected() {
+    use faas_freedom::core::FreedomError;
+
+    // A: one arrival per minute 0..=10, then one at minute 20.
+    let mut a: String = (0..=10).map(|m| format!("a,f,{m},1\n")).collect();
+    a.push_str("b,g,20,1\n");
+    // B: the same 12 arrivals and horizon, eleven of them in minute 10,
+    // under a long app name (A's reader position lies inside B's bytes)
+    // or a short one (it lies past them).
+    let trace_a = StreamTrace::from_csv_parts(&[a.as_bytes()]).unwrap();
+    let traces_b: Vec<StreamTrace> = ["a".repeat(120), "a".into()]
+        .iter()
+        .map(|app| {
+            let b = format!("{app},f,10,11\nb,g,20,1\n");
+            StreamTrace::from_csv_parts(&[b.as_bytes()]).unwrap()
+        })
+        .collect();
+    for trace_b in &traces_b {
+        assert_eq!(trace_a.len(), trace_b.len());
+        assert_eq!(trace_a.horizon_nanos(), trace_b.horizon_nanos());
+        assert_eq!(trace_a.n_functions(), trace_b.n_functions());
+    }
+
+    let sim =
+        FleetSimulator::new(freedom_experiments::fleet_simulation::synthetic_plans(2, 4).unwrap())
+            .unwrap();
+    let config = FleetConfig::default();
+    let mut snap = None;
+    let killed = resumable(&sim, &trace_a, &config, 60.0, None, |s| {
+        snap = Some(s.clone());
+        Ok(false)
+    })
+    .unwrap();
+    assert!(killed.is_none(), "the kill must abort the run");
+    let snap = snap.expect("a boundary at epoch 1");
+    assert_eq!(snap.epoch(), 1);
+
+    for trace_b in &traces_b {
+        match resumable(&sim, trace_b, &config, 60.0, Some(&snap), |_| Ok(true)) {
+            Err(FreedomError::InvalidArgument(msg)) => {
+                assert!(msg.contains("fingerprint"), "{msg}")
+            }
+            other => panic!("expected InvalidArgument, got {other:?}"),
+        }
+    }
+    // The snapshot still resumes its own trace, bit-identically.
+    let resumed = resumable(&sim, &trace_a, &config, 60.0, Some(&snap), |_| Ok(true))
+        .unwrap()
+        .expect("resumed run completes");
+    assert_eq!(
+        format!("{:?}", replay(&sim, &trace_a, &config)),
+        format!("{resumed:?}")
+    );
+}
+
+/// A CSV file whose counts change after the scan — same bytes per line,
+/// so the reader keeps its bounds — yields more events than the scan
+/// counted. Both streaming entry points fail with a typed error before
+/// reducing the report instead of metering a trace they never scanned.
+#[test]
+fn csv_counts_changed_after_the_scan_fail_with_a_typed_error() {
+    use faas_freedom::core::FreedomError;
+
+    let dir = std::env::temp_dir().join(format!("freedom-recount-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("trace.csv");
+    std::fs::write(&path, "a,f,0,3\nb,g,1,3\n").unwrap();
+    let lazy = StreamTrace::from_csv_files(&[&path]).unwrap();
+    assert_eq!(lazy.len(), 6);
+    std::fs::write(&path, "a,f,0,4\nb,g,1,3\n").unwrap();
+
+    let sim =
+        FleetSimulator::new(freedom_experiments::fleet_simulation::synthetic_plans(2, 4).unwrap())
+            .unwrap();
+    let config = FleetConfig::default();
+    let streaming = sim
+        .run_stream_traced(
+            &lazy,
+            PlacementStrategy::IdleAware,
+            &config,
+            &mut NoopRecorder,
+        )
+        .map(|_| ());
+    let resumable = resumable(&sim, &lazy, &config, 60.0, None, |_| Ok(true)).map(|_| ());
+    std::fs::remove_dir_all(&dir).ok();
+    for (label, outcome) in [("streaming", streaming), ("resumable", resumable)] {
+        match outcome {
+            Err(FreedomError::InvalidArgument(msg)) => {
+                assert!(
+                    msg.contains("7 events of a 6-event trace"),
+                    "{label}: {msg}"
+                )
+            }
+            other => panic!("{label}: expected InvalidArgument, got {other:?}"),
+        }
     }
 }

@@ -304,8 +304,9 @@ fn assert_lattice(
 /// the four synthetic generators on the 120-function fleet plus the
 /// Azure CSV fixture streamed through the chunked reader — every
 /// controller, and every placement strategy, the lattice holds against
-/// the materialized reference. Trace generation itself must not depend
-/// on how many threads generated the streams.
+/// the materialized reference. The streamed generator events — scanned
+/// on every core — must equal the materialized generator's, and so must
+/// the scan's event count and horizon.
 #[test]
 fn streaming_replay_is_bit_identical_for_every_source_and_controller() {
     use freedom_experiments::fleet_simulation::{synthetic_plans, trace_sources, AZURE_FIXTURE};
@@ -314,15 +315,22 @@ fn streaming_replay_is_bit_identical_for_every_source_and_controller() {
     let duration = 300.0;
     let mut traces: Vec<(&str, StreamTrace)> = Vec::new();
     for (name, source) in trace_sources(duration) {
-        let lazy = StreamTrace::generate_sharded(source, n_functions, duration, 11, 8).unwrap();
+        let lazy = StreamTrace::generate(source, n_functions, duration, 11).unwrap();
+        let materialized = source.generate(n_functions, duration, 11).unwrap();
         assert_eq!(
-            source.generate(n_functions, duration, 11).unwrap().events(),
-            lazy.materialize().unwrap().events(),
-            "{name}: trace generation diverged across threads"
+            materialized.events(),
+            lazy.open().unwrap().events().collect::<Vec<_>>().as_slice(),
+            "{name}: streamed generation diverged from the materialized trace"
         );
+        assert_eq!(lazy.len(), materialized.len(), "{name}");
+        let last = materialized.events().last().unwrap().at_secs;
+        assert_eq!(lazy.horizon_nanos(), (last * 1e9) as u64, "{name}");
         traces.push((name, lazy));
     }
-    traces.push(("azure", StreamTrace::from_csv(AZURE_FIXTURE).unwrap()));
+    traces.push((
+        "azure",
+        StreamTrace::from_csv_parts(&[AZURE_FIXTURE.as_bytes()]).unwrap(),
+    ));
 
     let mut fanned_out_ticks = 0;
     for (name, lazy) in &traces {
@@ -375,7 +383,7 @@ fn fault_injection_preserves_the_determinism_lattice() {
     use freedom_experiments::fleet_simulation::synthetic_plans;
 
     let n_functions = 120;
-    let lazy = StreamTrace::generate_sharded(
+    let lazy = StreamTrace::generate(
         TraceSource::HeavyTail {
             mean_rps: 0.5,
             alpha: 1.5,
@@ -383,7 +391,6 @@ fn fault_injection_preserves_the_determinism_lattice() {
         n_functions,
         300.0,
         11,
-        8,
     )
     .unwrap();
     let full = lazy.materialize().unwrap();
@@ -453,7 +460,7 @@ fn retries_and_hedging_preserve_the_determinism_lattice() {
     use freedom_experiments::fleet_simulation::synthetic_plans;
 
     let n_functions = 120;
-    let lazy = StreamTrace::generate_sharded(
+    let lazy = StreamTrace::generate(
         TraceSource::HeavyTail {
             mean_rps: 0.5,
             alpha: 1.5,
@@ -461,7 +468,6 @@ fn retries_and_hedging_preserve_the_determinism_lattice() {
         n_functions,
         300.0,
         11,
-        8,
     )
     .unwrap();
     let full = lazy.materialize().unwrap();
@@ -614,7 +620,7 @@ fn gz_multi_file_ingestion_preserves_the_determinism_lattice() {
 
     // The single-file plain reference.
     let single = format!("{HEADER}{}", rows.concat());
-    let plain = StreamTrace::from_csv(&single).unwrap();
+    let plain = StreamTrace::from_csv_parts(&[single.as_bytes()]).unwrap();
 
     // Three files cut mid-minute (the row counts per file are not
     // multiples of the per-minute row count), each with its own header
@@ -691,7 +697,7 @@ fn telemetry_recording_preserves_the_determinism_lattice() {
     use freedom_experiments::fleet_simulation::synthetic_plans;
 
     let n_functions = 120;
-    let lazy = StreamTrace::generate_sharded(
+    let lazy = StreamTrace::generate(
         TraceSource::HeavyTail {
             mean_rps: 0.5,
             alpha: 1.5,
@@ -699,7 +705,6 @@ fn telemetry_recording_preserves_the_determinism_lattice() {
         n_functions,
         300.0,
         11,
-        8,
     )
     .unwrap();
     let sim = FleetSimulator::new(synthetic_plans(n_functions, 4).unwrap()).unwrap();

@@ -444,7 +444,7 @@ pub struct ControlState {
     /// of the carried state because the canonical model-fitting sequence
     /// is **one warm-start `fit_update` per batch**, not per entry — a
     /// reconstructing window must replay the same batching the
-    /// sequential engine performed.
+    /// uninterrupted replay performed.
     pub observed_batches: Vec<Vec<u8>>,
     /// Right-sizer output: per function, the revised placement order
     /// (`None` = the planner's original order).
@@ -827,7 +827,7 @@ impl Controller for HeadroomPid {
 /// something new, both carried in [`ControlState`]): the canonical call
 /// sequence is `fit(anchor + first batch)`, then one warm-start
 /// `fit_update(log[..=eₖ], seed(eₖ))` per subsequent batch, where `eₖ`
-/// is the batch's cumulative end. The sequential engine grows the model
+/// is the batch's cumulative end. The uninterrupted replay grows the model
 /// with exactly those calls — a tick that surfaces several alternates
 /// at once absorbs them in **one** `fit_update`, which is what keeps
 /// the tick cost amortized — and a replay window holding only the

@@ -159,7 +159,7 @@ impl FaultPlan {
     /// The identity packs into one word — `idx` in the low 32 bits,
     /// `attempt` above it, `function` in the high bits — finished by a
     /// single avalanche round: this draw sits on the per-placement hot
-    /// path of the replay engines, and one `mix` of a packed distinct
+    /// path of the replay, and one `mix` of a packed distinct
     /// input is the same construction (and statistical quality) as a
     /// SplitMix64 output step.
     pub fn fault_for(&self, function: u32, idx: u32, attempt: u8) -> Option<TransientFault> {
@@ -303,7 +303,7 @@ impl FaultTimeline {
     /// Pure in `(plan, n_zones, horizon_nanos)`: zone outage streams are
     /// drawn per zone in zone order, then the burst stream, all from one
     /// generator seeded with `plan.seed` — so the same plan yields the
-    /// same timeline on every engine and every run.
+    /// same timeline in every epoch and every run.
     pub fn generate(plan: &FaultPlan, n_zones: usize, horizon_nanos: u64) -> Result<FaultTimeline> {
         plan.validate()?;
         let mut timeline = FaultTimeline::default();

@@ -409,10 +409,10 @@ impl Hasher for MulShift {
 /// The replay's metering, threaded through every window of one replay.
 ///
 /// An invocation's records are *final* once its arrival index is below
-/// every live index — the completion heap's entries and the pending
-/// retry/hedge events — because every adjustment (drain, migrate,
-/// demote), retry record, and hedge record is produced while its
-/// invocation sits in one of those two sets. Final invocations are
+/// every live index — the event queue's runs and pending retry/hedge
+/// events — because every adjustment (drain, migrate, demote), retry
+/// record, and hedge record is produced while its invocation sits in
+/// the queue. Final invocations are
 /// folded, in arrival order, into running accumulators that reproduce
 /// a whole-history reduction bit for bit: the cost sum and the
 /// inflation sum accumulate in the same sequence (so the partition into
@@ -784,13 +784,15 @@ impl Metering {
     }
 }
 
-/// Everything that crosses a window boundary: the canonical
-/// (completion-ordered) in-flight ledger state, pending retries, retry
-/// budgets, the controller state, and the partial observation epoch.
-/// Resumable replays chain it exactly from one epoch to the next and
-/// persist it in every snapshot — see `crates/core/README.md`.
+/// Everything that crosses a window boundary: the window's event queue
+/// split into its two sorted lists — live runs and pending retries —
+/// plus the retry budgets, the controller state, and the partial
+/// observation epoch. Resumable replays chain it exactly from one epoch
+/// to the next and persist it in every snapshot — see
+/// `crates/core/README.md`.
 #[derive(Debug, Clone)]
 pub(crate) struct Carry {
+    /// Live runs, in [`InFlight::key`] order.
     inflight: Vec<InFlight>,
     /// Pending retry/hedge events firing in a later window, in
     /// [`PendingRetry::key`] order.
@@ -905,19 +907,74 @@ impl Carry {
         })
     }
 
+    /// Checks a resumed carry against the replay it resumes at
+    /// `start_nanos`. The snapshot's fingerprint covers the config and
+    /// the trace, not the indices inside the carry, so a crafted one
+    /// could otherwise panic mid-replay.
+    fn validate(&self, ctx: &ReplayCtx, start_nanos: u64) -> Result<()> {
+        let mut ledger = SpotLedger::new(&ctx.market, ctx.schedule.start_state(start_nanos).caps);
+        let runs_fit = self.inflight.iter().all(|e| {
+            let fits = ledger.fits(e);
+            if fits {
+                ledger.place(e);
+            }
+            fits
+        });
+        let n_functions = ctx.best_costs.len();
+        let pending_known = self.retries.iter().all(|p| {
+            (p.function as usize) < n_functions
+                && usize::from(p.family) < N_MARKET_FAMILIES
+                && matches!(p.kind, KIND_RETRY | KIND_HEDGE)
+        });
+        let accepted = |(f, log): (usize, &[u8])| {
+            f < n_functions
+                && log
+                    .iter()
+                    .all(|&ai| u32::from(ai) < ctx.alt_offsets[f + 1] - ctx.alt_offsets[f])
+        };
+        let control = &self.control;
+        let orders = control
+            .orders
+            .iter()
+            .map(|o| o.as_deref().unwrap_or_default());
+        let observed = control.observed.iter().map(Vec::as_slice);
+        let alternates_known =
+            orders.enumerate().all(accepted) && observed.enumerate().all(accepted);
+        let slots = *ctx.obs_offsets.last().expect("offsets") as usize;
+        for (ok, what) in [
+            (runs_fit, "an in-flight run does not fit its slot"),
+            (
+                pending_known,
+                "a pending event names an unknown function, family or kind",
+            ),
+            (
+                self.budget.tokens.len() == N_MARKET_FAMILIES,
+                "the retry budget is not one bucket per family",
+            ),
+            (
+                self.accum.per_function.len() == slots,
+                "the observation epoch has another slot count",
+            ),
+            (
+                alternates_known,
+                "the controller names an alternate its plan did not accept",
+            ),
+        ] {
+            if !ok {
+                return Err(FreedomError::InvalidArgument(format!(
+                    "snapshot carry does not fit this replay: {what}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Arrival indices of everything live across the boundary: in-flight
     /// placements and pending retry/hedge events.
     pub(crate) fn live_indices(&self) -> impl Iterator<Item = u32> + '_ {
         let inflight = self.inflight.iter().map(|e| e.idx);
         inflight.chain(self.retries.iter().map(|p| p.idx))
     }
-}
-
-/// A window's result: the carried state crossing into the next window.
-struct WindowOutcome {
-    carry_out: Carry,
-    /// Most in-flight placements the completion heap ever held.
-    peak_inflight: usize,
 }
 
 /// Peak-memory telemetry of one streaming replay
@@ -928,7 +985,8 @@ struct WindowOutcome {
 pub struct ReplayStats {
     /// Arrivals replayed (streamed through, never resident).
     pub events: usize,
-    /// Peak size of the in-flight completion queue.
+    /// Peak in-flight runs queued for completion (ghosts of withdrawn
+    /// placements included).
     pub peak_inflight: usize,
     /// Peak events the trace cursors held: one pending arrival per
     /// function (synthetic) or the open rows of the CSV lookahead
@@ -1208,9 +1266,93 @@ impl FleetSimulator {
     }
 }
 
-/// One window's live simulation state: the market ledger and completion
-/// queue, the supply and tick cursors, the controller state it carries
-/// forward, and the epoch accumulator feeding the next tick.
+/// One entry of a window's event queue, variants in rank order. Each
+/// carries its instant as its first field, so under `repr(C, u8)`
+/// [`Event::at`] is one load, not a branch.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, u8)]
+enum Event {
+    /// An in-flight run completing (a ghost once its slot was withdrawn).
+    Run(InFlight),
+    /// Supply step `i` of the schedule.
+    Step(u64, usize),
+    /// Preemption notice `i` of the schedule.
+    Notice(u64, usize),
+    /// A pending retry or hedge.
+    Pending(PendingRetry),
+    /// Controller tick `k`, at `k · cadence`.
+    Tick(u64, u64),
+}
+
+impl Event {
+    /// Queue order: instant, rank, then the tie key — a run's
+    /// [`InFlight::key`] or a pending event's [`PendingRetry::key`]. At
+    /// most one step, notice and tick are armed at a time, so those
+    /// never tie.
+    fn key(&self) -> (u64, u8, u32, u32, u32) {
+        match *self {
+            Event::Run(e) => (e.completion_nanos, 0, e.slot, e.idx, e.meta),
+            Event::Step(at, _) => (at, 1, 0, 0, 0),
+            Event::Notice(at, _) => (at, 2, 0, 0, 0),
+            Event::Pending(p) => (p.at_nanos, 3, p.idx, p.attempt.into(), p.kind.into()),
+            Event::Tick(at, _) => (at, 4, 0, 0, 0),
+        }
+    }
+
+    /// The instant alone: the key's first field, compared first.
+    fn at(&self) -> u64 {
+        match *self {
+            Event::Run(e) => e.completion_nanos,
+            Event::Pending(p) => p.at_nanos,
+            Event::Step(at, _) | Event::Notice(at, _) | Event::Tick(at, _) => at,
+        }
+    }
+}
+
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        match self.at().cmp(&other.at()) {
+            std::cmp::Ordering::Equal => self.key().cmp(&other.key()),
+            unequal => unequal,
+        }
+    }
+}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Event {}
+
+/// What the admission pass decided for one request.
+#[derive(Debug, Clone, Copy)]
+enum Admission {
+    /// No candidate: the plan has no accepted alternates, or the
+    /// controller retired them all.
+    OnDemand,
+    /// The admission policy (or the brownout ceiling) denied the market.
+    PolicyReject,
+    /// Admitted, but no candidate fits a slot.
+    CapacityMiss,
+    /// Alternate `ai` fits `slot` at market `utilization`.
+    Placed {
+        ai: usize,
+        slot: u32,
+        utilization: f64,
+    },
+}
+
+/// One window's live simulation state: the market ledger and event
+/// queue, the controller state it carries forward, and the epoch
+/// accumulator feeding the next tick.
 struct WindowSim<'a, R: Recorder> {
     ctx: &'a ReplayCtx,
     /// The replay's telemetry sink. Strictly observational — nothing in
@@ -1220,34 +1362,16 @@ struct WindowSim<'a, R: Recorder> {
     /// the first), feeding the arrival-gap histogram.
     prev_arrival: u64,
     ledger: SpotLedger,
-    /// In-flight completions, earliest `(completion, slot, idx, meta)`
-    /// first.
-    queue: BinaryHeap<Reverse<InFlight>>,
-    /// Most entries the completion queue ever held — the in-flight term
-    /// of the replay's peak-memory bound ([`ReplayStats`]).
+    /// Every pending [`Event`], earliest first. Retries and hedges are
+    /// scheduled at admission time, never at a completion pop: the
+    /// uninterrupted replay never pops completions after the last
+    /// arrival while an epoch-chained one does at its closes.
+    events: BinaryHeap<Reverse<Event>>,
+    /// [`Event::Run`] entries in `events`, ghosts included.
+    runs: usize,
+    /// Most runs the queue ever held — the in-flight term of the
+    /// replay's peak-memory bound ([`ReplayStats`]).
     peak_inflight: usize,
-    supply_cursor: usize,
-    /// Index of the next preemption notice to fire.
-    notice_cursor: usize,
-    /// Index of the next controller tick to fire (tick `k` fires at
-    /// `k · cadence`, `k ≥ 1`, capped at the trace horizon).
-    next_tick: u64,
-    /// Instant of the next structural break — the earliest pending
-    /// supply step, preemption notice, retry/hedge event, or controller
-    /// tick (`u64::MAX` when all are exhausted). At fleet scale the
-    /// event loop is
-    /// dominated by arrivals that advance time *between* breaks;
-    /// caching the minimum lets [`WindowSim::advance`] drain due
-    /// completions on a three-instruction guard instead of re-deriving
-    /// all three cursors per arrival. Every break-firing path
-    /// recomputes it.
-    next_break: u64,
-    /// Pending retry and hedge events, ordered by
-    /// [`PendingRetry::key`]. Scheduling always happens at admission
-    /// time (an arrival or a firing retry), never at a completion pop —
-    /// the reference engine never pops completions after the last
-    /// arrival, so completion-time scheduling would diverge the two.
-    retries: BinaryHeap<Reverse<PendingRetry>>,
     /// Per-family retry token buckets, charged at fire time.
     budget: RetryBudget,
     control: ControlState,
@@ -1258,124 +1382,72 @@ struct WindowSim<'a, R: Recorder> {
 }
 
 impl<R: Recorder> WindowSim<'_, R> {
-    /// The next pending tick instant, if any remains before the horizon.
-    fn next_tick_at(&self) -> Option<u64> {
-        let at = self.next_tick.checked_mul(self.ctx.cadence_nanos)?;
-        (at <= self.ctx.horizon_nanos).then_some(at)
+    /// Arms supply step `i`, if the schedule has one.
+    fn arm_step(&mut self, i: usize) {
+        if let Some(step) = self.ctx.schedule.steps.get(i) {
+            self.events.push(Reverse(Event::Step(step.at_nanos, i)));
+        }
     }
 
-    /// Advances the market through every completion, supply step,
-    /// preemption notice, and controller tick due at or before
-    /// `to_nanos`, in time order. At one instant completions release
-    /// capacity first (so a finishing invocation is never spuriously
-    /// demoted by a simultaneous supply drop), then supply steps
-    /// withdraw and resolve their displaced residents, then notices
-    /// mark slots, then retries and hedges re-enter admission (seeing
-    /// the capacity the same-instant completions just released), then
-    /// the controller ticks — observing the epoch *including* anything
-    /// a same-instant step or retry just caused.
+    /// Arms preemption notice `i`, if the schedule has one.
+    fn arm_notice(&mut self, i: usize) {
+        if let Some(notice) = self.ctx.schedule.notices.get(i) {
+            self.events.push(Reverse(Event::Notice(notice.at_nanos, i)));
+        }
+    }
+
+    /// Arms tick `k` (`k ≥ 1`), unless it falls past the trace horizon.
+    fn arm_tick(&mut self, k: u64) {
+        let at = k.saturating_mul(self.ctx.cadence_nanos);
+        if at <= self.ctx.horizon_nanos {
+            self.events.push(Reverse(Event::Tick(at, k)));
+        }
+    }
+
+    /// Fires every queued event due at or before `to_nanos`, in queue
+    /// order. At one instant completions release capacity first (so a
+    /// finishing invocation is never spuriously demoted by a
+    /// simultaneous supply drop), then supply steps withdraw and resolve
+    /// their displaced residents, then notices mark slots, then retries
+    /// and hedges re-enter admission (seeing the capacity the
+    /// same-instant completions just released), then the controller
+    /// ticks — observing the epoch *including* anything a same-instant
+    /// step or retry just caused.
     ///
     /// Ghost completions — entries whose slot was withdrawn since
     /// placement — pop silently: their fate (migrated or demoted) was
-    /// already decided and metered at the withdrawal step.
-    #[inline]
+    /// already decided and metered at the withdrawal step. Runs per
+    /// arrival, so the rarer handlers stay out of line and the arrival
+    /// path inline (≈ 20 % of simulation time in an A/B otherwise).
+    #[inline(always)]
     fn advance(&mut self, to_nanos: u64) {
-        if to_nanos < self.next_break {
-            // Fast path: no supply step, notice, or tick falls in
-            // `(now, to_nanos]`, so the only work is draining due
-            // completions — and the completion-scan cap at the next
-            // step is vacuous because `to_nanos` is already below it.
-            while let Some(e) = self.pop_due(to_nanos) {
-                self.complete(e);
-            }
-            return;
-        }
-        self.advance_through_breaks(to_nanos);
-    }
-
-    /// The general advance: interleaves completions with the structural
-    /// breaks due at or before `to_nanos`, re-deriving the break
-    /// cursors each iteration (firing a break can move them).
-    #[cold]
-    fn advance_through_breaks(&mut self, to_nanos: u64) {
-        loop {
-            let step_at = self
-                .ctx
-                .schedule
-                .steps
-                .get(self.supply_cursor)
-                .map_or(u64::MAX, |s| s.at_nanos);
-            let retry_at = self.retries.peek().map_or(u64::MAX, |r| r.0.at_nanos);
-            let completion = self.queue.peek().map_or(u64::MAX, |r| r.0.completion_nanos);
-            let notice_at = self
-                .ctx
-                .schedule
-                .notices
-                .get(self.notice_cursor)
-                .map_or(u64::MAX, |n| n.at_nanos);
-            let tick_at = self.next_tick_at().unwrap_or(u64::MAX);
-            // `u64::MAX` stands in for "exhausted": the same-instant
-            // priority below (completion < step < notice < retry <
-            // tick) is a chain of equality checks against the minimum,
-            // so the sentinel never wins unless everything is spent.
-            let now = completion
-                .min(step_at)
-                .min(notice_at)
-                .min(retry_at)
-                .min(tick_at);
-            if now > to_nanos {
-                break;
-            }
-            if completion == now {
-                let Reverse(e) = self.queue.pop().expect("completion head exists");
-                self.complete(e);
-            } else if step_at == now {
-                self.supply_step();
-            } else if notice_at == now {
-                self.fire_notice();
-            } else if retry_at == now {
-                let Reverse(p) = self.retries.pop().expect("retry head exists");
-                if p.kind == KIND_RETRY {
-                    self.fire_retry(p);
-                } else {
-                    self.fire_hedge(p);
+        while self
+            .events
+            .peek()
+            .is_some_and(|head| head.0.at() <= to_nanos)
+        {
+            let Reverse(event) = self.events.pop().expect("peeked");
+            match event {
+                Event::Run(e) => {
+                    self.runs -= 1;
+                    self.complete(e);
                 }
-            } else {
-                self.fire_tick(now);
+                Event::Step(_, i) => self.supply_step(i),
+                Event::Notice(_, i) => self.fire_notice(i),
+                Event::Pending(p) if p.kind == KIND_RETRY => self.fire_retry(p),
+                Event::Pending(p) => self.fire_hedge(p),
+                Event::Tick(at, k) => self.fire_tick(at, k),
             }
         }
-        self.next_break = self.compute_next_break();
     }
 
-    /// Pops the earliest in-flight completion if it is due at or before
-    /// `limit`.
-    #[inline]
-    fn pop_due(&mut self, limit: u64) -> Option<InFlight> {
-        if self.queue.peek()?.0.completion_nanos > limit {
-            return None;
-        }
-        self.queue.pop().map(|Reverse(e)| e)
-    }
-
-    /// Recomputes the cached next-break instant from the four break
-    /// cursors.
-    fn compute_next_break(&self) -> u64 {
-        let step = self
-            .ctx
-            .schedule
-            .steps
-            .get(self.supply_cursor)
-            .map_or(u64::MAX, |s| s.at_nanos);
-        let notice = self
-            .ctx
-            .schedule
-            .notices
-            .get(self.notice_cursor)
-            .map_or(u64::MAX, |n| n.at_nanos);
-        let retry = self.retries.peek().map_or(u64::MAX, |r| r.0.at_nanos);
-        step.min(notice)
-            .min(retry)
-            .min(self.next_tick_at().unwrap_or(u64::MAX))
+    /// Places a run on its slot and queues its completion.
+    #[inline(always)]
+    fn push_run(&mut self, entry: InFlight) {
+        self.ledger.place(&entry);
+        self.events.push(Reverse(Event::Run(entry)));
+        self.runs += 1;
+        self.peak_inflight = self.peak_inflight.max(self.runs);
     }
 
     /// Retires one popped completion: live entries release their market
@@ -1404,13 +1476,14 @@ impl<R: Recorder> WindowSim<'_, R> {
         }
     }
 
-    /// Fires the supply step at `supply_cursor`: withdraws the dropped
-    /// slots and resolves every displaced resident *at the step* —
-    /// migrate to another zone when one fits (same family, re-billed at
-    /// the migration fraction of list), force-demote otherwise.
-    fn supply_step(&mut self) {
+    /// Fires supply step `i`: withdraws the dropped slots and resolves
+    /// every displaced resident *at the step* — migrate to another zone
+    /// when one fits (same family, re-billed at the migration fraction of
+    /// list), force-demote otherwise — then arms the next step.
+    #[inline(never)]
+    fn supply_step(&mut self, i: usize) {
         let ctx = self.ctx;
-        let step = &ctx.schedule.steps[self.supply_cursor];
+        let step = &ctx.schedule.steps[i];
         for e in self.ledger.withdraw(&step.caps) {
             // A withdrawn hedge drops silently: it was a speculative
             // extra copy, the invocation's outcome stays with the
@@ -1420,14 +1493,11 @@ impl<R: Recorder> WindowSim<'_, R> {
             }
             match self.ledger.migrate_target(e.slot, e.milli, e.mib) {
                 Some(slot) => {
-                    let moved = InFlight {
+                    self.push_run(InFlight {
                         slot,
                         epoch: self.ledger.epoch(slot),
                         ..e
-                    };
-                    self.ledger.place(&moved);
-                    self.queue.push(Reverse(moved));
-                    self.peak_inflight = self.peak_inflight.max(self.queue.len());
+                    });
                     self.accum.migrated += 1;
                     self.rec.add(tel::Counter::Migrated, 1);
                     self.m.adjust(
@@ -1450,17 +1520,18 @@ impl<R: Recorder> WindowSim<'_, R> {
             tel::Span::SupplyStep,
             step.at_nanos,
             step.at_nanos,
-            self.supply_cursor as u64,
+            i as u64,
         );
-        self.supply_cursor += 1;
+        self.arm_step(i + 1);
     }
 
-    /// Fires the preemption notice at `notice_cursor`: marks every slot
-    /// the announced step will withdraw, so they stop admitting and
-    /// their residents get a drain window.
-    fn fire_notice(&mut self) {
+    /// Fires preemption notice `i`: marks every slot the announced step
+    /// will withdraw, so they stop admitting and their residents get a
+    /// drain window; then arms the next notice.
+    #[inline(never)]
+    fn fire_notice(&mut self, i: usize) {
         let ctx = self.ctx;
-        let announced = ctx.schedule.notices[self.notice_cursor];
+        let announced = ctx.schedule.notices[i];
         let hit = self
             .ledger
             .mark_notified(&ctx.schedule.steps[announced.step as usize].caps);
@@ -1474,17 +1545,18 @@ impl<R: Recorder> WindowSim<'_, R> {
             announced.at_nanos,
             u64::from(hit),
         );
-        self.notice_cursor += 1;
+        self.arm_notice(i + 1);
     }
 
-    /// Fires controller tick `self.next_tick`: hands the controller the
-    /// closed epoch's observation, records the telemetry sample, and
-    /// opens the next epoch.
-    fn fire_tick(&mut self, at: u64) {
+    /// Fires controller tick `k` at `at`: hands the controller the
+    /// closed epoch's observation, records the telemetry sample, opens
+    /// the next epoch, and arms the next tick.
+    #[inline(never)]
+    fn fire_tick(&mut self, at: u64, k: u64) {
         let started = if R::ENABLED { self.rec.now_nanos() } else { 0 };
         let utilization = self.ledger.utilization();
         let obs = Observation {
-            tick: self.next_tick as u32,
+            tick: k as u32,
             at_nanos: at,
             utilization,
             accum: &self.accum,
@@ -1524,18 +1596,114 @@ impl<R: Recorder> WindowSim<'_, R> {
                 tel::Span::ControllerTick,
                 at.saturating_sub(self.ctx.cadence_nanos),
                 at,
-                self.next_tick,
+                k,
             );
             self.rec
                 .span_wall(tel::Span::TickWork, started, u64::from(replanned));
         }
         self.accum.reset();
-        self.next_tick += 1;
+        self.arm_tick(k + 1);
     }
 
-    /// Places one arrival: the admission policy currently in force gates
-    /// the market, and the placement order is the controller's revision
-    /// when one exists, the planner's order otherwise.
+    /// The one admission pass behind arrivals, retries and hedges: the
+    /// candidate check, the policy gate in force (tightened, while
+    /// browned out, by the brownout utilization ceiling), then best-fit
+    /// within each active alternate's family, in the controller's
+    /// revised order when one exists and the planner's otherwise. A
+    /// revised-empty order means the controller retired every
+    /// alternate: the function runs on-demand, like a plan that never
+    /// had accepted alternates.
+    #[inline(always)]
+    fn admit(&self, function: usize) -> Admission {
+        let ctx = self.ctx;
+        let alternates =
+            &ctx.alts[ctx.alt_offsets[function] as usize..ctx.alt_offsets[function + 1] as usize];
+        let order = self.control.order_for(function);
+        if alternates.is_empty() || order.is_some_and(|o| o.is_empty()) {
+            return Admission::OnDemand;
+        }
+        let utilization = self.ledger.utilization();
+        let brownout_block = self.control.brownout
+            && ctx
+                .retry
+                .brownout
+                .is_some_and(|b| utilization >= b.utilization_ceiling);
+        if !self.control.admission.admits(utilization) || brownout_block {
+            return Admission::PolicyReject;
+        }
+        let n_candidates = order.map_or(alternates.len(), <[u8]>::len);
+        for i in 0..n_candidates {
+            let ai = order.map_or(i, |o| usize::from(o[i]));
+            let alt = &alternates[ai];
+            if let Some(slot) = self
+                .ledger
+                .best_fit(alt.family, alt.milli_vcpus, alt.memory_mib)
+            {
+                return Admission::Placed {
+                    ai,
+                    slot,
+                    utilization,
+                };
+            }
+        }
+        Admission::CapacityMiss
+    }
+
+    /// Runs one attempt of an arrival or retry through the admission
+    /// pass: places it when admitted ([`WindowSim::place_attempt`]) and
+    /// counts the outcome into the epoch accumulator and the telemetry
+    /// counters. Returns the outcome class and, when placed, `(billed
+    /// cost, relative inflation, run end instant)`.
+    #[inline(always)]
+    fn admit_attempt(
+        &mut self,
+        function: usize,
+        idx: u32,
+        at: u64,
+        arrival_nanos: u64,
+        attempt: u8,
+    ) -> (u8, Option<(f64, f64, u64)>) {
+        let ctx = self.ctx;
+        let n_alts = (ctx.alt_offsets[function + 1] - ctx.alt_offsets[function]) as usize;
+        let mut placed = None;
+        let (class, placement, counter) = match self.admit(function) {
+            Admission::OnDemand => (CLASS_ON_DEMAND, n_alts, tel::Counter::OnDemand),
+            Admission::PolicyReject => {
+                self.accum.policy_rejected += 1;
+                (CLASS_POLICY_REJECT, n_alts, tel::Counter::PolicyRejected)
+            }
+            Admission::CapacityMiss => {
+                self.accum.capacity_missed += 1;
+                (CLASS_CAPACITY_MISS, n_alts, tel::Counter::CapacityMissed)
+            }
+            Admission::Placed {
+                ai,
+                slot,
+                utilization,
+            } => {
+                placed = Some(self.place_attempt(
+                    function,
+                    idx,
+                    at,
+                    arrival_nanos,
+                    attempt,
+                    ai,
+                    slot,
+                    utilization,
+                ));
+                self.accum.spot_admitted += 1;
+                (CLASS_ADMITTED, ai, tel::Counter::SpotAdmitted)
+            }
+        };
+        self.accum.per_function[ctx.obs_offsets[function] as usize + placement] += 1;
+        if R::ENABLED {
+            self.rec.add(counter, 1);
+        }
+        (class, placed)
+    }
+
+    /// Places one arrival through the admission pass and records its
+    /// first-attempt outcome.
     fn arrival(&mut self, function: usize, idx: u32, at: u64) {
         // Telemetry on the hot path: counter and histogram updates are
         // array writes into preallocated storage; the only clock read
@@ -1544,8 +1712,7 @@ impl<R: Recorder> WindowSim<'_, R> {
         // this.
         if R::ENABLED {
             self.rec.add(tel::Counter::Arrivals, 1);
-            self.rec
-                .observe(tel::Hist::InflightDepth, self.queue.len() as u64);
+            self.rec.observe(tel::Hist::InflightDepth, self.runs as u64);
             if self.prev_arrival != u64::MAX {
                 self.rec
                     .observe(tel::Hist::ArrivalGapNanos, at - self.prev_arrival);
@@ -1558,90 +1725,23 @@ impl<R: Recorder> WindowSim<'_, R> {
             0
         };
         self.accum.arrivals += 1;
-        let a0 = self.ctx.alt_offsets[function] as usize;
-        let a1 = self.ctx.alt_offsets[function + 1] as usize;
-        let alternates = &self.ctx.alts[a0..a1];
-        let best_cost_usd = self.ctx.best_costs[function];
-        let off = self.ctx.obs_offsets[function] as usize;
-        let n_alts = alternates.len();
-        let order = self.control.order_for(function);
-        // A revised-empty order means the controller retired every
-        // alternate: the function runs on-demand, like a plan that never
-        // had accepted alternates.
-        let no_candidates = n_alts == 0 || order.is_some_and(|o| o.is_empty());
-        let (class, cost, inflation) = if no_candidates {
-            self.accum.per_function[off + n_alts] += 1;
-            (CLASS_ON_DEMAND, best_cost_usd, 1.0)
-        } else {
-            let utilization = self.ledger.utilization();
-            // Brownout tightens fresh-arrival admission: while the mode
-            // is active, arrivals are additionally rejected whenever
-            // utilization is at or above the brownout ceiling.
-            let brownout_block = self.control.brownout
-                && self
-                    .ctx
-                    .retry
-                    .brownout
-                    .is_some_and(|b| utilization >= b.utilization_ceiling);
-            if !self.control.admission.admits(utilization) || brownout_block {
-                self.accum.policy_rejected += 1;
-                self.accum.per_function[off + n_alts] += 1;
-                (CLASS_POLICY_REJECT, best_cost_usd, 1.0)
-            } else {
-                // Try the active alternates in order, best-fit within
-                // each family's available slots.
-                let fit = |ai: usize| {
-                    let alt = &alternates[ai];
-                    self.ledger
-                        .best_fit(alt.family, alt.milli_vcpus, alt.memory_mib)
-                        .map(|slot| (ai, slot))
-                };
-                let placed = match order {
-                    Some(order) => order.iter().find_map(|&ai| fit(ai as usize)),
-                    None => (0..n_alts).find_map(fit),
-                };
-                match placed {
-                    Some((ai, slot)) => {
-                        let (cost, rel_inflation, _) =
-                            self.place_attempt(function, idx, at, at, 1, ai, slot, utilization);
-                        self.accum.spot_admitted += 1;
-                        self.accum.per_function[off + ai] += 1;
-                        (CLASS_ADMITTED, cost, rel_inflation)
-                    }
-                    None => {
-                        self.accum.capacity_missed += 1;
-                        self.accum.per_function[off + n_alts] += 1;
-                        (CLASS_CAPACITY_MISS, best_cost_usd, 1.0)
-                    }
-                }
-            }
-        };
-        if R::ENABLED {
-            self.rec.add(
-                match class {
-                    CLASS_ON_DEMAND => tel::Counter::OnDemand,
-                    CLASS_POLICY_REJECT => tel::Counter::PolicyRejected,
-                    CLASS_CAPACITY_MISS => tel::Counter::CapacityMissed,
-                    _ => tel::Counter::SpotAdmitted,
-                },
-                1,
-            );
-            if t0 != 0 {
-                let dt = self.rec.now_nanos().saturating_sub(t0);
-                self.rec.observe(tel::Hist::AdmissionNanos, dt);
-            }
+        let (class, placed) = self.admit_attempt(function, idx, at, at, 1);
+        let best_cost = self.ctx.best_costs[function];
+        let (cost, inflation) = placed.map_or((best_cost, 1.0), |(cost, rel, _)| (cost, rel));
+        if R::ENABLED && t0 != 0 {
+            let dt = self.rec.now_nanos().saturating_sub(t0);
+            self.rec.observe(tel::Hist::AdmissionNanos, dt);
         }
         self.m.record(cost, inflation, class);
     }
 
     /// Executes one placed attempt: draws the attempt's transient fault,
     /// places the (possibly faulted) run on `slot`, and schedules the
-    /// follow-up the fault calls for — all at admission time, never at a
-    /// completion pop (the reference engine never pops completions after
-    /// the last arrival, so completion-time scheduling would diverge the
-    /// engines). Returns `(billed cost, relative inflation of the run,
-    /// run end instant)`; a crash-on-start bills nothing, occupies no
-    /// slot, and "ends" at `at`.
+    /// follow-up the fault calls for — at admission time, never at a
+    /// completion pop (see [`WindowSim::events`]). Returns `(billed
+    /// cost, relative inflation of the run, run end instant)`; a
+    /// crash-on-start bills nothing, occupies no slot, and "ends" at
+    /// `at`.
     #[allow(clippy::too_many_arguments)]
     fn place_attempt(
         &mut self,
@@ -1694,7 +1794,7 @@ impl<R: Recorder> WindowSim<'_, R> {
             ),
             _ => (RUN_NORMAL, alt.duration_nanos, alt.inflation),
         };
-        let entry = InFlight {
+        self.push_run(InFlight {
             completion_nanos: at + duration,
             slot,
             idx,
@@ -1703,10 +1803,7 @@ impl<R: Recorder> WindowSim<'_, R> {
             mib: alt.memory_mib,
             meta: InFlight::meta_of(kind, attempt),
             list_cost_usd: alt.list_cost_usd,
-        };
-        self.ledger.place(&entry);
-        self.queue.push(Reverse(entry));
-        self.peak_inflight = self.peak_inflight.max(self.queue.len());
+        });
         if kind == RUN_ABORT {
             // The retry is scheduled now, to fire at the abort's
             // surfacing instant plus backoff. A later migration or
@@ -1739,8 +1836,9 @@ impl<R: Recorder> WindowSim<'_, R> {
     /// Schedules attempt `next_attempt` of invocation `idx` to re-enter
     /// admission after backoff — or dead-letters it immediately when
     /// the attempt cap is spent or the backoff lands past the horizon
-    /// (the reference engine never advances there, so a past-horizon
-    /// retry must resolve *now* to keep the engines identical).
+    /// (the uninterrupted replay never advances past the last arrival,
+    /// so a past-horizon retry must resolve *now* for an epoch-chained
+    /// replay to match it).
     fn schedule_or_deadletter(
         &mut self,
         base_nanos: u64,
@@ -1769,7 +1867,7 @@ impl<R: Recorder> WindowSim<'_, R> {
             self.rec
                 .observe(tel::Hist::RetryBackoffNanos, at - base_nanos);
         }
-        self.retries.push(Reverse(PendingRetry {
+        self.events.push(Reverse(Event::Pending(PendingRetry {
             at_nanos: at,
             idx,
             function,
@@ -1778,8 +1876,7 @@ impl<R: Recorder> WindowSim<'_, R> {
             family,
             arrival_nanos,
             orig_completion_nanos: 0,
-        }));
-        self.next_break = self.next_break.min(at);
+        })));
     }
 
     /// Schedules a hedged re-issue of a straggling attempt, if hedging
@@ -1805,7 +1902,7 @@ impl<R: Recorder> WindowSim<'_, R> {
         if t_h >= straggle_completion || t_h > self.ctx.horizon_nanos {
             return;
         }
-        self.retries.push(Reverse(PendingRetry {
+        self.events.push(Reverse(Event::Pending(PendingRetry {
             at_nanos: t_h,
             idx,
             function,
@@ -1814,126 +1911,45 @@ impl<R: Recorder> WindowSim<'_, R> {
             family,
             arrival_nanos,
             orig_completion_nanos: straggle_completion,
-        }));
-        self.next_break = self.next_break.min(t_h);
+        })));
     }
 
     /// Fires one pending retry: the activation re-enters admission as a
     /// first-class event. Brownout sheds it first (retries yield to
     /// fresh arrivals under overload), then the family budget is
-    /// charged, then the full admission pass re-runs — policy gate,
+    /// charged, then the admission pass re-runs — policy gate,
     /// controller-ordered best-fit, fresh fault draw — exactly as a
     /// fresh arrival would. The activation's outcome lands in one
     /// [`RetryRecord`]; terminal fallbacks record end-to-end inflation
     /// (queueing included) against the function's best-config time.
+    #[inline(never)]
     fn fire_retry(&mut self, p: PendingRetry) {
         let now = p.at_nanos;
         let function = p.function as usize;
         let best_dur = self.ctx.best_duration_nanos[function];
         let best_d = best_dur as f64;
         let end_to_end = move |end: u64| (end.saturating_sub(p.arrival_nanos)) as f64 / best_d;
-        if self.control.brownout {
-            self.push_retry_record(RetryRecord {
-                idx: p.idx,
-                attempt: p.attempt,
-                class: CLASS_DEAD_LETTERED,
-                flags: RETRY_FLAG_SHED,
-                cost_usd: 0.0,
-                inflation: end_to_end(now).max(1.0),
-            });
-            return;
-        }
-        if !self
-            .budget
-            .try_spend(p.family as usize, now, &self.ctx.retry)
-        {
-            self.push_retry_record(RetryRecord {
-                idx: p.idx,
-                attempt: p.attempt,
-                class: CLASS_DEAD_LETTERED,
-                flags: 0,
-                cost_usd: 0.0,
-                inflation: end_to_end(now).max(1.0),
-            });
-            return;
-        }
-        let a0 = self.ctx.alt_offsets[function] as usize;
-        let a1 = self.ctx.alt_offsets[function + 1] as usize;
-        let alternates = &self.ctx.alts[a0..a1];
-        let n_alts = alternates.len();
-        let off = self.ctx.obs_offsets[function] as usize;
-        let best_cost_usd = self.ctx.best_costs[function];
-        let order = self.control.order_for(function);
-        let no_candidates = n_alts == 0 || order.is_some_and(|o| o.is_empty());
-        let (class, cost, inflation) = if no_candidates {
-            self.accum.per_function[off + n_alts] += 1;
-            (CLASS_ON_DEMAND, best_cost_usd, end_to_end(now + best_dur))
+        let shed = self.control.brownout;
+        let spent = !shed
+            && self
+                .budget
+                .try_spend(p.family as usize, now, &self.ctx.retry);
+        let (class, flags, cost_usd, inflation) = if spent {
+            let (class, placed) =
+                self.admit_attempt(function, p.idx, now, p.arrival_nanos, p.attempt);
+            let best_cost = self.ctx.best_costs[function];
+            let (cost, end) = placed.map_or((best_cost, now + best_dur), |(c, _, end)| (c, end));
+            (class, 0, cost, end_to_end(end))
         } else {
-            let utilization = self.ledger.utilization();
-            if !self.control.admission.admits(utilization) {
-                self.accum.policy_rejected += 1;
-                self.accum.per_function[off + n_alts] += 1;
-                (
-                    CLASS_POLICY_REJECT,
-                    best_cost_usd,
-                    end_to_end(now + best_dur),
-                )
-            } else {
-                let fit = |ai: usize| {
-                    let alt = &alternates[ai];
-                    self.ledger
-                        .best_fit(alt.family, alt.milli_vcpus, alt.memory_mib)
-                        .map(|slot| (ai, slot))
-                };
-                let placed = match order {
-                    Some(order) => order.iter().find_map(|&ai| fit(ai as usize)),
-                    None => (0..n_alts).find_map(fit),
-                };
-                match placed {
-                    Some((ai, slot)) => {
-                        let (cost, _, end) = self.place_attempt(
-                            function,
-                            p.idx,
-                            now,
-                            p.arrival_nanos,
-                            p.attempt,
-                            ai,
-                            slot,
-                            utilization,
-                        );
-                        self.accum.spot_admitted += 1;
-                        self.accum.per_function[off + ai] += 1;
-                        (CLASS_ADMITTED, cost, end_to_end(end))
-                    }
-                    None => {
-                        self.accum.capacity_missed += 1;
-                        self.accum.per_function[off + n_alts] += 1;
-                        (
-                            CLASS_CAPACITY_MISS,
-                            best_cost_usd,
-                            end_to_end(now + best_dur),
-                        )
-                    }
-                }
-            }
+            let flags = if shed { RETRY_FLAG_SHED } else { 0 };
+            (CLASS_DEAD_LETTERED, flags, 0.0, end_to_end(now).max(1.0))
         };
-        if R::ENABLED {
-            self.rec.add(
-                match class {
-                    CLASS_ON_DEMAND => tel::Counter::OnDemand,
-                    CLASS_POLICY_REJECT => tel::Counter::PolicyRejected,
-                    CLASS_CAPACITY_MISS => tel::Counter::CapacityMissed,
-                    _ => tel::Counter::SpotAdmitted,
-                },
-                1,
-            );
-        }
         self.push_retry_record(RetryRecord {
             idx: p.idx,
             attempt: p.attempt,
             class,
-            flags: 0,
-            cost_usd: cost,
+            flags,
+            cost_usd,
             inflation,
         });
     }
@@ -1945,40 +1961,24 @@ impl<R: Recorder> WindowSim<'_, R> {
     /// placement, since both completion instants are fixed there); an
     /// unplaceable hedge (brownout, policy denial, no fit) drops
     /// silently.
+    #[inline(never)]
     fn fire_hedge(&mut self, p: PendingRetry) {
         if self.control.brownout {
             return;
         }
         let function = p.function as usize;
+        let Admission::Placed {
+            ai,
+            slot,
+            utilization,
+        } = self.admit(function)
+        else {
+            return;
+        };
         let ctx = self.ctx;
-        let a0 = ctx.alt_offsets[function] as usize;
-        let a1 = ctx.alt_offsets[function + 1] as usize;
-        let alternates = &ctx.alts[a0..a1];
-        let n_alts = alternates.len();
-        let order = self.control.order_for(function);
-        if n_alts == 0 || order.is_some_and(|o| o.is_empty()) {
-            return;
-        }
-        let utilization = self.ledger.utilization();
-        if !self.control.admission.admits(utilization) {
-            return;
-        }
-        let fit = |ai: usize| {
-            let alt = &alternates[ai];
-            self.ledger
-                .best_fit(alt.family, alt.milli_vcpus, alt.memory_mib)
-                .map(|slot| (ai, slot))
-        };
-        let placed = match order {
-            Some(order) => order.iter().find_map(|&ai| fit(ai as usize)),
-            None => (0..n_alts).find_map(fit),
-        };
-        let Some((ai, slot)) = placed else {
-            return;
-        };
-        let alt = &alternates[ai];
+        let alt = &ctx.alts[ctx.alt_offsets[function] as usize + ai];
         let completion = p.at_nanos + alt.duration_nanos;
-        let entry = InFlight {
+        self.push_run(InFlight {
             completion_nanos: completion,
             slot,
             idx: p.idx,
@@ -1987,10 +1987,7 @@ impl<R: Recorder> WindowSim<'_, R> {
             mib: alt.memory_mib,
             meta: InFlight::meta_of(RUN_HEDGE, p.attempt),
             list_cost_usd: alt.list_cost_usd,
-        };
-        self.ledger.place(&entry);
-        self.queue.push(Reverse(entry));
-        self.peak_inflight = self.peak_inflight.max(self.queue.len());
+        });
         let won = completion < p.orig_completion_nanos;
         if R::ENABLED && won {
             self.rec.add(tel::Counter::HedgeWins, 1);
@@ -2021,13 +2018,17 @@ impl<R: Recorder> WindowSim<'_, R> {
         self.m.record_retry(r);
     }
 
-    /// The lowest arrival index still live — in the completion heap or
-    /// a pending retry/hedge event — or `next_idx` when nothing is:
-    /// every invocation below it is final.
+    /// The lowest arrival index still live — a queued run or a pending
+    /// retry/hedge — or `next_idx` when nothing is: every invocation
+    /// below it is final.
     fn watermark(&self, next_idx: u32) -> u32 {
-        let inflight = self.queue.iter().map(|e| e.0.idx);
-        inflight
-            .chain(self.retries.iter().map(|p| p.0.idx))
+        self.events
+            .iter()
+            .filter_map(|Reverse(event)| match event {
+                Event::Run(e) => Some(e.idx),
+                Event::Pending(p) => Some(p.idx),
+                _ => None,
+            })
             .fold(next_idx, u32::min)
     }
 }
@@ -2123,6 +2124,8 @@ fn replay_epochs<R: Recorder>(
                     snap.epoch
                 )));
             }
+            snap.carry
+                .validate(ctx, window_span(snap.epoch as usize, window_nanos).0)?;
             (
                 snap.epoch as usize,
                 snap.carry.clone(),
@@ -2154,7 +2157,7 @@ fn replay_epochs<R: Recorder>(
                     count += u64::from(event.is_some());
                     event
                 });
-                let outcome = simulate_window(
+                let (carry_out, window_peak) = simulate_window(
                     ctx,
                     events,
                     consumed as u32,
@@ -2167,12 +2170,12 @@ fn replay_epochs<R: Recorder>(
                 rec.add(tel::Counter::WindowsSimulated, 1);
                 rec.add(tel::Counter::IngestWaits, batches.take_waits());
                 consumed += count;
-                carry = outcome.carry_out;
-                peak_inflight = peak_inflight.max(outcome.peak_inflight);
+                carry = carry_out;
+                peak_inflight = peak_inflight.max(window_peak);
                 k += 1;
                 if k < n {
-                    // No checkpoint means the ingest thread died mid-epoch;
-                    // `pipelined` re-raises its panic.
+                    // No checkpoint means the ingest thread stopped
+                    // mid-epoch; `pipelined` returns its error.
                     let Some(checkpoint) = batches.take_checkpoint() else {
                         return Ok(false);
                     };
@@ -2204,7 +2207,7 @@ fn replay_epochs<R: Recorder>(
                 }
             }
             Ok(true)
-        });
+        })?;
     if !finished? {
         return Ok(None);
     }
@@ -2232,7 +2235,8 @@ fn replay_epochs<R: Recorder>(
 /// in-flight watermark whenever its unfolded tail doubles, so memory is
 /// bounded by the in-flight span rather than the window's length. An
 /// uninterrupted replay is the degenerate call: all events, the initial
-/// carry, an unbounded window.
+/// carry, an unbounded window. Returns the carry crossing into the next
+/// window and the most runs the window's event queue held.
 #[allow(clippy::too_many_arguments)]
 fn simulate_window<R: Recorder>(
     ctx: &ReplayCtx,
@@ -2243,46 +2247,46 @@ fn simulate_window<R: Recorder>(
     end_nanos: u64,
     rec: &mut R,
     m: &mut Metering,
-) -> WindowOutcome {
+) -> (Carry, usize) {
     let window_wall = rec.now_nanos();
     let start = ctx.schedule.start_state(start_nanos);
     let mut ledger = SpotLedger::new(&ctx.market, start.caps);
     // A notice that fired before this window for a step still ahead:
     // re-mark its slots so the window starts under the same pending
-    // notice the sequential engine would be carrying (the notified
+    // notice an uninterrupted replay would be carrying (the notified
     // placements were already counted when the notice fired).
     if let Some(next_caps) = start.notified_next {
         ledger.mark_notified(next_caps);
     }
-    let mut queue = BinaryHeap::with_capacity(carry_in.inflight.len() + 64);
+    let carried = carry_in.inflight.len() + carry_in.retries.len();
+    let mut queue = BinaryHeap::with_capacity(carried + 64);
     for entry in &carry_in.inflight {
         let mut e = *entry;
         e.epoch = ledger.epoch(e.slot);
-        ledger.restore(&e);
-        queue.push(Reverse(e));
+        ledger.place(&e);
+        queue.push(Reverse(Event::Run(e)));
     }
+    queue.extend(carry_in.retries.iter().map(|&p| Reverse(Event::Pending(p))));
     let mut sim = WindowSim {
         ctx,
         rec,
         prev_arrival: u64::MAX,
-        peak_inflight: queue.len(),
         ledger,
-        queue,
-        supply_cursor: start.cursor,
-        notice_cursor: start.notice_cursor,
-        // Ticks strictly before the window start already fired in a
-        // predecessor; a tick exactly at the start belongs to this
-        // window (its predecessor only advanced to `start − 1`).
-        next_tick: start_nanos.div_ceil(ctx.cadence_nanos).max(1),
-        next_break: 0,
-        retries: carry_in.retries.iter().map(|&p| Reverse(p)).collect(),
+        events: queue,
+        runs: carry_in.inflight.len(),
+        peak_inflight: carry_in.inflight.len(),
         budget: carry_in.budget.clone(),
         control: carry_in.control.clone(),
         accum: carry_in.accum.clone(),
         scratch: ControlScratch::default(),
         m,
     };
-    sim.next_break = sim.compute_next_break();
+    sim.arm_step(start.cursor);
+    sim.arm_notice(start.notice_cursor);
+    // Ticks strictly before the window start already fired in a
+    // predecessor; a tick exactly at the start belongs to this window
+    // (its predecessor only advanced to `start − 1`).
+    sim.arm_tick(start_nanos.div_ceil(ctx.cadence_nanos).max(1));
 
     let mut fold_at = (2 * sim.m.tail_len()).max(FOLD_FLOOR);
     for (i, event) in events.enumerate() {
@@ -2297,28 +2301,32 @@ fn simulate_window<R: Recorder>(
         }
     }
 
-    // Close the window: completions, supply steps, and ticks strictly
-    // before the boundary still belong to it (the reference engine's
-    // unbounded window skips this — no steps or ticks outlive the last
+    // Close the window: events strictly before the boundary still belong
+    // to it (an unbounded window has no close — nothing outlives the last
     // arrival).
     if end_nanos != u64::MAX {
         sim.advance(end_nanos - 1);
     }
 
-    // Drain: live entries become the canonical carry-over, in ascending
-    // `(completion, slot, idx, meta)` order. Ghost entries — their slot
-    // withdrawn since placement — drop silently: their fate was resolved
-    // and metered at the withdrawal step.
-    let ledger = &sim.ledger;
-    let mut inflight: Vec<InFlight> = sim
-        .queue
-        .into_vec()
-        .into_iter()
-        .map(|Reverse(e)| e)
-        .filter(|e| ledger.is_live(e))
-        .map(|e| InFlight { epoch: 0, ..e })
-        .collect();
-    inflight.sort_unstable();
+    // Split the queue into the carry: live runs in ascending `(completion,
+    // slot, idx, meta)` order and pending retries/hedges in key order
+    // (each fires at or after `end_nanos` — the close advanced through
+    // `end_nanos − 1`). Ghost runs — their slot withdrawn since placement
+    // — drop silently: their fate was resolved and metered at the
+    // withdrawal step. The armed step, notice and tick drop too; the next
+    // window re-arms them from its cursors.
+    let queue = std::mem::take(&mut sim.events).into_vec();
+    let mut inflight = Vec::with_capacity(sim.runs);
+    let mut pending = Vec::with_capacity(queue.len() - sim.runs);
+    for Reverse(event) in queue {
+        match event {
+            Event::Run(e) if sim.ledger.is_live(&e) => inflight.push(InFlight { epoch: 0, ..e }),
+            Event::Pending(p) => pending.push(p),
+            _ => {}
+        }
+    }
+    inflight.sort_unstable_by_key(InFlight::key);
+    pending.sort_unstable_by_key(PendingRetry::key);
     let sim_end = if end_nanos == u64::MAX {
         ctx.horizon_nanos
     } else {
@@ -2328,21 +2336,14 @@ fn simulate_window<R: Recorder>(
         .span_sim(tel::Span::Window, start_nanos, sim_end, u64::from(base_idx));
     sim.rec
         .span_wall(tel::Span::WindowSim, window_wall, u64::from(base_idx));
-    // Pending retries outliving the window carry over in key order
-    // (every entry fires at or after `end_nanos` — the close advanced
-    // through `end_nanos − 1`).
-    let mut pending: Vec<PendingRetry> = sim.retries.into_iter().map(|Reverse(p)| p).collect();
-    pending.sort();
-    WindowOutcome {
-        carry_out: Carry {
-            inflight,
-            retries: pending,
-            budget: sim.budget,
-            control: sim.control,
-            accum: sim.accum,
-        },
-        peak_inflight: sim.peak_inflight,
-    }
+    let carry = Carry {
+        inflight,
+        retries: pending,
+        budget: sim.budget,
+        control: sim.control,
+        accum: sim.accum,
+    };
+    (carry, sim.peak_inflight)
 }
 
 /// Reduces a replay's metering into the fleet report: folds the rest of
@@ -2982,6 +2983,81 @@ mod tests {
     }
 
     #[test]
+    fn events_pop_by_time_then_rank_then_identity() {
+        let run = |at: u64, idx: u32| {
+            Event::Run(InFlight {
+                completion_nanos: at,
+                slot: 0,
+                idx,
+                epoch: 0,
+                milli: 1,
+                mib: 1,
+                meta: InFlight::meta_of(RUN_NORMAL, 1),
+                list_cost_usd: 0.0,
+            })
+        };
+        let pending = |at: u64, idx: u32, kind: u8| {
+            Event::Pending(PendingRetry {
+                at_nanos: at,
+                idx,
+                function: 0,
+                attempt: 2,
+                kind,
+                family: 0,
+                arrival_nanos: 0,
+                orig_completion_nanos: 0,
+            })
+        };
+        let pop_all = |events: &[Event]| {
+            let mut queue: BinaryHeap<_> = events.iter().map(|&e| Reverse(e)).collect();
+            std::iter::from_fn(move || queue.pop().map(|Reverse(e)| e)).collect::<Vec<_>>()
+        };
+        // All five kinds at one instant pop in rank order, whatever the
+        // push order.
+        let at = 10;
+        let kinds = [
+            Event::Tick(at, 1),
+            pending(at, 5, KIND_RETRY),
+            Event::Notice(at, 0),
+            run(at, 5),
+            Event::Step(at, 0),
+        ];
+        let ranks: Vec<u8> = pop_all(&kinds).iter().map(|e| e.key().1).collect();
+        assert_eq!(ranks, [0, 1, 2, 3, 4]);
+        // On a tie, a retry pops before the hedge of the same attempt;
+        // within a rank, the lower identity first.
+        let order = pop_all(&[
+            pending(at, 5, KIND_HEDGE),
+            run(at, 9),
+            pending(at, 5, KIND_RETRY),
+            run(at, 2),
+        ]);
+        assert_eq!(
+            order,
+            [
+                run(at, 2),
+                run(at, 9),
+                pending(at, 5, KIND_RETRY),
+                pending(at, 5, KIND_HEDGE)
+            ]
+        );
+        // An earlier instant beats any rank.
+        let order = pop_all(&[
+            run(at, 0),
+            Event::Tick(at - 1, 1),
+            pending(at - 1, 99, KIND_HEDGE),
+        ]);
+        assert_eq!(
+            order,
+            [
+                pending(at - 1, 99, KIND_HEDGE),
+                Event::Tick(at - 1, 1),
+                run(at, 0)
+            ]
+        );
+    }
+
+    #[test]
     fn window_boundary_tie_breaks_are_pinned() {
         // Pin the event order at one instant — completion < step <
         // notice < tick — by aligning every recurring instant on the
@@ -3153,6 +3229,101 @@ mod tests {
             err.is_err(),
             "a re-cadenced replay must reject the snapshot"
         );
+    }
+
+    #[test]
+    fn crafted_carries_fail_to_resume_with_typed_errors() {
+        use crate::snapshot::ReplaySnapshot;
+        // A right-sized fleet under transient faults, so mid-run carries
+        // hold in-flight runs, pending retries, and observation logs.
+        let mut plans = make_plans(5);
+        for plan in &mut plans {
+            for a in &mut plan.alternates {
+                a.accepted = true;
+            }
+        }
+        let sim = FleetSimulator::new(plans).unwrap();
+        let config = FleetConfig {
+            control: ControlConfig {
+                cadence_secs: 15.0,
+                controller: ControllerConfig::SurrogateRightSizer(RightSizerConfig::default()),
+            },
+            ..flaky_config()
+        };
+        let lazy = StreamTrace::generate(
+            TraceSource::Poisson {
+                rps_per_function: 2.0,
+            },
+            FunctionKind::ALL.len(),
+            120.0,
+            11,
+        )
+        .unwrap();
+        let run = |resume: Option<&ReplaySnapshot>,
+                   on_snapshot: &mut dyn FnMut(&ReplaySnapshot)| {
+            sim.run_stream_resumable_traced(
+                &lazy,
+                PlacementStrategy::IdleAware,
+                &config,
+                20.0,
+                resume,
+                &mut NoopRecorder,
+                |s, _| {
+                    on_snapshot(s);
+                    Ok(true)
+                },
+            )
+        };
+        let mut snaps = Vec::new();
+        run(None, &mut |s| snaps.push(s.clone())).unwrap();
+        let snap = snaps
+            .iter()
+            .find(|s| {
+                let c = &s.carry;
+                !c.inflight.is_empty()
+                    && !c.retries.is_empty()
+                    && c.control.observed.iter().any(|log| !log.is_empty())
+            })
+            .expect("a boundary with runs, retries, and observations in flight");
+        let resealed = |carry: &Carry| {
+            let crafted = ReplaySnapshot {
+                carry: carry.clone(),
+                ..snap.clone()
+            };
+            ReplaySnapshot::from_bytes(&crafted.to_bytes()).expect("an edited carry still decodes")
+        };
+        assert!(run(Some(&resealed(&snap.carry)), &mut |_| {})
+            .unwrap()
+            .is_some());
+        type Edit = fn(&mut Carry);
+        let edits: [(&str, Edit); 9] = [
+            ("slot out of range", |c| c.inflight[0].slot = 1_000_000),
+            ("reservation past capacity", |c| {
+                c.inflight[0].milli = u32::MAX
+            }),
+            ("pending function", |c| c.retries[0].function = 9_999),
+            ("pending family", |c| {
+                c.retries[0].family = N_MARKET_FAMILIES as u8
+            }),
+            ("pending kind", |c| c.retries[0].kind = 7),
+            ("budget buckets", |c| {
+                c.budget.tokens.pop();
+                c.budget.last_refill.pop();
+            }),
+            ("observation slots", |c| c.accum.per_function.push(0)),
+            ("order entry", |c| c.control.orders[0] = Some(vec![u8::MAX])),
+            ("observed entry", |c| c.control.observed[0].push(u8::MAX)),
+        ];
+        for (what, edit) in edits {
+            let mut carry = snap.carry.clone();
+            edit(&mut carry);
+            match run(Some(&resealed(&carry)), &mut |_| {}) {
+                Err(FreedomError::InvalidArgument(msg)) => {
+                    assert!(msg.contains("snapshot carry"), "{what}: {msg}")
+                }
+                other => panic!("{what}: expected InvalidArgument, got {other:?}"),
+            }
+        }
     }
 
     #[test]

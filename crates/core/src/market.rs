@@ -282,8 +282,8 @@ pub(crate) struct NoticeStep {
 /// The whole supply process — zone redraws, injected faults, and the
 /// preemption notices announcing its drops — materialized over a replay
 /// horizon. A pure function of `(MarketConfig, FaultPlan, horizon)`, so
-/// the sequential engine and every replay window see the same capacity
-/// and the same notices at the same instant.
+/// the uninterrupted replay and every epoch of an epoch-chained one see
+/// the same capacity and the same notices at the same instant.
 #[derive(Debug, Clone)]
 pub(crate) struct SupplySchedule {
     /// Capacity before the first event (the full pool), zone-major.
@@ -512,17 +512,20 @@ fn compose_faults(
     steps
 }
 
-/// One in-flight spot placement, as stored in the completion queue and
+/// One in-flight spot placement, as stored in the event queue and
 /// in the carry-over state crossing replay-window boundaries.
 ///
-/// Ordering (and equality) is by `(completion_nanos, slot, idx, meta)`:
+/// Ordered by [`InFlight::key`], `(completion_nanos, slot, idx, meta)`:
 /// `slot` is a flat market-wide index so it encodes the zone and family,
 /// and `(idx, meta)` — the invocation's global arrival index plus its
 /// attempt/kind word — uniquely names one run of it, so ties never
 /// cascade to the remaining fields. `epoch` deliberately stays out
-/// of the key: the sequential engine and a window reconstructing carried
-/// state assign different epochs to the same placement.
+/// of the key: the uninterrupted replay and an epoch reconstructing
+/// carried state assign different epochs to the same placement.
+///
+/// `repr(C)`, instant first: see the fleet module's `Event`.
 #[derive(Debug, Clone, Copy)]
+#[repr(C)]
 pub(crate) struct InFlight {
     /// Completion time in integer nanoseconds.
     pub completion_nanos: u64,
@@ -540,16 +543,16 @@ pub(crate) struct InFlight {
     pub milli: u32,
     /// Reserved MiB.
     pub mib: u32,
-    /// Undiscounted list-price cost of the placement's configuration —
-    /// what the invocation is re-billed if demoted (or a
-    /// `migration_rebill` fraction of it if migrated).
-    pub list_cost_usd: f64,
     /// Retry-layer metadata, packed by [`InFlight::meta_of`]: low 2 bits
     /// the run kind ([`RUN_NORMAL`] / [`RUN_ABORT`] / [`RUN_HEDGE`]),
     /// next 6 bits the 1-based attempt number. Participates in the key
     /// so an invocation's racing copies (a straggler and its hedge, or
     /// successive attempts) order canonically even on a completion tie.
     pub meta: u32,
+    /// Undiscounted list-price cost of the placement's configuration —
+    /// what the invocation is re-billed if demoted (or a
+    /// `migration_rebill` fraction of it if migrated).
+    pub list_cost_usd: f64,
 }
 
 /// A plain execution: completes its work, drains under notice as usual.
@@ -562,6 +565,7 @@ pub(crate) const RUN_ABORT: u32 = 1;
 pub(crate) const RUN_HEDGE: u32 = 2;
 
 impl InFlight {
+    /// The run's order in the event queue and the carry.
     pub(crate) fn key(&self) -> (u64, u32, u32, u32) {
         (self.completion_nanos, self.slot, self.idx, self.meta)
     }
@@ -579,23 +583,6 @@ impl InFlight {
     /// The 1-based attempt number packed into `meta`.
     pub(crate) fn attempt(&self) -> u8 {
         ((self.meta >> 2) & 63) as u8
-    }
-}
-
-impl PartialEq for InFlight {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for InFlight {}
-impl PartialOrd for InFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for InFlight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
     }
 }
 
@@ -639,11 +626,11 @@ struct VmSlot {
 ///
 /// Capacity and occupancy are integer milli-vCPU counters, so the
 /// utilization driving admission and demand pricing is an exact ratio of
-/// integers — deterministic across engines. Per-slot resident lists are
-/// kept order-insensitive (every consumer either counts them, searches
-/// by `idx`, or canonically sorts them), so the sequential engine and a
-/// window reconstructing carried state — which insert in different
-/// orders — stay bit-identical.
+/// integers — deterministic however the replay is cut into epochs.
+/// Per-slot resident lists are kept order-insensitive (every consumer
+/// either counts them, searches by `idx`, or canonically sorts them), so
+/// the uninterrupted replay and an epoch reconstructing carried state —
+/// which insert in different orders — stay bit-identical.
 #[derive(Debug)]
 pub(crate) struct SpotLedger {
     vms_per_family: u32,
@@ -714,29 +701,19 @@ impl SpotLedger {
         (flat / self.vms_per_family) as usize / N_MARKET_FAMILIES
     }
 
-    /// Re-places a carried in-flight entry onto its slot (window-start
-    /// reconstruction). The entry's slot is available by construction: it
-    /// survived every earlier supply drop.
-    pub fn restore(&mut self, entry: &InFlight) {
-        let slot = &mut self.slots[entry.slot as usize];
-        slot.free_milli -= entry.milli;
-        slot.free_mib -= entry.mib;
-        Self::insert_resident(&mut self.residents[entry.slot as usize], entry);
-        self.occupied_milli += entry.milli as u64;
-    }
-
-    /// Records a resident with an O(1) append. Resident order is not
-    /// observable: withdrawals hand displaced entries to the engine
-    /// canonically re-sorted, notices only count them, and
-    /// [`SpotLedger::release`] matches its exact record by `(idx, meta,
-    /// completion)` — unique even for a straggler/hedge twin pair — so
-    /// no path needs the vector sorted. Keeping it unsorted turns the
-    /// retry-heavy placement mix (which re-places old indices out of
-    /// arrival order) from a mid-vector memmove into a push, and
-    /// release into a swap-remove.
-    #[inline]
-    fn insert_resident(residents: &mut Vec<InFlight>, entry: &InFlight) {
-        residents.push(*entry);
+    /// Whether [`SpotLedger::place`] can re-place a carried `entry`: its
+    /// slot exists, is available under the current caps, and has room
+    /// for its reservation. A carry the replay wrote always fits — each
+    /// run survived every earlier supply drop — so this only screens a
+    /// resumed one.
+    pub fn fits(&self, entry: &InFlight) -> bool {
+        let flat = entry.slot as usize;
+        let lane = flat / self.vms_per_family as usize;
+        self.slots.get(flat).is_some_and(|slot| {
+            entry.slot % self.vms_per_family < self.avail[lane]
+                && slot.free_milli >= entry.milli
+                && slot.free_mib >= entry.mib
+        })
     }
 
     /// Market vCPU utilization in `[0, 1]`; a zero-capacity market reads
@@ -787,7 +764,7 @@ impl SpotLedger {
 
     /// Applies a supply event and returns the in-flight placements it
     /// displaced, canonically sorted by `(completion, slot, idx)` so
-    /// every engine resolves them (migrate or demote) in the same
+    /// every replay resolves them (migrate or demote) in the same
     /// order. Withdrawing a slot empties it immediately: its occupancy
     /// leaves the market, its notice flag clears, and its epoch
     /// advances so queue entries pointing at it read as ghosts when
@@ -797,7 +774,7 @@ impl SpotLedger {
     /// queue entries surface) is what makes the per-epoch
     /// demotion/migration signal a pure function of simulated time — a
     /// window that replays this instant observes the same displaced set
-    /// as the sequential engine, so the control plane's feedback is
+    /// as the uninterrupted replay, so the control plane's feedback is
     /// partition-independent.
     pub fn withdraw(&mut self, caps: &[u32]) -> Vec<InFlight> {
         let mut displaced = Vec::new();
@@ -895,12 +872,22 @@ impl SpotLedger {
     }
 
     /// Reserves capacity on a slot returned by [`SpotLedger::best_fit`]
-    /// or [`SpotLedger::migrate_target`] and records the resident.
+    /// or [`SpotLedger::migrate_target`] — or on a carried entry's slot
+    /// at a window start — and records the resident.
+    ///
+    /// Residents are an O(1) append, because their order is not
+    /// observable: withdrawals hand displaced entries to the engine
+    /// canonically re-sorted, notices only count them, and
+    /// [`SpotLedger::release`] matches its exact record by `(idx, meta,
+    /// completion)` — unique even for a straggler/hedge twin pair. An
+    /// unsorted vector turns the retry-heavy placement mix (which
+    /// re-places old indices out of arrival order) from a mid-vector
+    /// memmove into a push, and release into a swap-remove.
     pub fn place(&mut self, entry: &InFlight) {
         let slot = &mut self.slots[entry.slot as usize];
         slot.free_milli -= entry.milli;
         slot.free_mib -= entry.mib;
-        Self::insert_resident(&mut self.residents[entry.slot as usize], entry);
+        self.residents[entry.slot as usize].push(*entry);
         self.occupied_milli += entry.milli as u64;
     }
 
@@ -1193,7 +1180,7 @@ mod tests {
         caps[0] = 2;
         let displaced = ledger.withdraw(&caps);
         assert_eq!(displaced.len(), 1);
-        assert_eq!(displaced[0], placed);
+        assert_eq!(displaced[0].key(), placed.key());
         assert_eq!(ledger.occupied_milli, 0);
         assert_eq!(ledger.capacity_milli, full - 2 * ledger.full_milli as u64);
         assert_eq!(ledger.epoch(3), epoch_before + 1, "withdrawn+occupied");

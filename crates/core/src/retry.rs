@@ -215,12 +215,15 @@ impl Default for RetryPolicy {
 
 /// One pending retry (or hedge) event, scheduled in simulated time.
 ///
-/// These are first-class events in the replay: within one instant the
-/// engines order event classes `completion < step < notice < retry <
-/// tick`, and pending entries that outlive a window are carried — sorted
-/// by [`PendingRetry::key`] — into the next one, so an epoch-chained
-/// replay fires them bit-identically to the uninterrupted walk.
+/// These are first-class events in the replay's one event queue: within
+/// one instant it orders event classes `completion < step < notice <
+/// retry < tick`, and pending entries that outlive a window are carried
+/// — sorted by [`PendingRetry::key`] — into the next one, so an
+/// epoch-chained replay fires them bit-identically to the uninterrupted
+/// walk.
+/// `repr(C)` with `at_nanos` first, like [`crate::market::InFlight`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
 pub(crate) struct PendingRetry {
     /// Fire instant, simulated nanoseconds.
     pub at_nanos: u64,
@@ -242,21 +245,10 @@ pub(crate) struct PendingRetry {
 }
 
 impl PendingRetry {
-    /// Total order used by the event heap and the carried-state sort.
+    /// Tie key among pending events at one instant in the event queue,
+    /// and the carried-state sort order.
     pub fn key(&self) -> (u64, u32, u8, u8) {
         (self.at_nanos, self.idx, self.attempt, self.kind)
-    }
-}
-
-impl Ord for PendingRetry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-impl PartialOrd for PendingRetry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -356,33 +348,6 @@ mod tests {
             .map(|&t| c.try_spend(0, t, &p))
             .collect();
         assert_eq!(plays, vec![true, true, false, true, true]);
-    }
-
-    #[test]
-    fn pending_retries_order_by_time_then_identity() {
-        let base = PendingRetry {
-            at_nanos: 10,
-            idx: 5,
-            function: 1,
-            attempt: 2,
-            kind: KIND_RETRY,
-            family: 0,
-            arrival_nanos: 0,
-            orig_completion_nanos: 0,
-        };
-        let later = PendingRetry {
-            at_nanos: 11,
-            ..base
-        };
-        let hedge = PendingRetry {
-            kind: KIND_HEDGE,
-            ..base
-        };
-        assert!(base < later);
-        assert!(base < hedge, "retry fires before hedge at one instant");
-        let mut v = vec![later, hedge, base];
-        v.sort();
-        assert_eq!(v, vec![base, hedge, later]);
     }
 
     #[test]

@@ -133,6 +133,13 @@ fn cannot_read(path: &Path, e: std::io::Error) -> FreedomError {
     FreedomError::InvalidArgument(format!("cannot read trace CSV {}: {e}", path.display()))
 }
 
+/// A replay-time read failure of input the scan validated: the bytes
+/// changed, or a file went away, in between.
+fn changed_since_scan(e: FreedomError) -> FreedomError {
+    let msg = e.to_string().replacen("invalid argument: ", "", 1);
+    FreedomError::InvalidArgument(format!("trace CSV changed between scan and replay: {msg}"))
+}
+
 /// A lazily-evaluated arrival trace: the specification plus O(functions)
 /// scan metadata, never the events.
 #[derive(Debug, Clone)]
@@ -960,19 +967,31 @@ enum StreamImp<'a> {
 
 impl<'a> EventStream<'a> {
     /// The next event without consuming it. May read ahead (CSV rows,
-    /// generator draws) but never emits.
+    /// generator draws) but never emits. Panics when a CSV input changed
+    /// since the scan; the streaming replays return that as an error.
     pub fn peek(&mut self) -> Option<TraceEvent> {
+        self.try_peek().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Consumes and returns the next event. Panics like
+    /// [`EventStream::peek`].
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Option<TraceEvent> {
+        self.try_next().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`EventStream::peek`], with a changed input as an error.
+    pub(crate) fn try_peek(&mut self) -> Result<Option<TraceEvent>> {
         match &mut self.imp {
-            StreamImp::Merge(m) => m.peek(),
+            StreamImp::Merge(m) => Ok(m.peek()),
             StreamImp::Csv(c) => c.ready(),
         }
     }
 
-    /// Consumes and returns the next event.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<TraceEvent> {
+    /// [`EventStream::next`], with a changed input as an error.
+    pub(crate) fn try_next(&mut self) -> Result<Option<TraceEvent>> {
         match &mut self.imp {
-            StreamImp::Merge(m) => m.next(),
+            StreamImp::Merge(m) => Ok(m.next()),
             StreamImp::Csv(c) => c.next(),
         }
     }
@@ -988,7 +1007,7 @@ impl<'a> EventStream<'a> {
             },
             StreamImp::Csv(c) => StreamCheckpoint {
                 imp: CpImp::Csv(CsvState {
-                    file: c.reader.file_idx() as u32,
+                    file: c.reader.file_idx as u32,
                     offset: c.reader.offset(),
                     lineno: c.reader.lineno(),
                     m_max: c.m_max,
@@ -1161,25 +1180,27 @@ impl CsvStream<'_> {
 
     /// Reads rows until the heap top is safe to emit (or input ends);
     /// returns it without consuming.
-    fn ready(&mut self) -> Option<TraceEvent> {
+    fn ready(&mut self) -> Result<Option<TraceEvent>> {
         loop {
             if let Some(Reverse(top)) = self.heap.peek() {
                 let t = f64::from_bits(top.next_bits);
                 if self.exhausted || t < self.frontier_secs() {
-                    return Some(TraceEvent {
+                    return Ok(Some(TraceEvent {
                         at_secs: t,
                         function: top.function as usize,
-                    });
+                    }));
                 }
             } else if self.exhausted {
-                return None;
+                return Ok(None);
             }
-            self.read_row();
+            self.read_row()?;
         }
     }
 
-    fn next(&mut self) -> Option<TraceEvent> {
-        let event = self.ready()?;
+    fn next(&mut self) -> Result<Option<TraceEvent>> {
+        let Some(event) = self.ready()? else {
+            return Ok(None);
+        };
         let mut top = self.heap.peek_mut().expect("ready implies a top");
         let row = &mut top.0;
         row.j += 1;
@@ -1193,49 +1214,46 @@ impl CsvStream<'_> {
         } else {
             std::collections::binary_heap::PeekMut::pop(top);
         }
-        Some(event)
+        Ok(Some(event))
     }
 
     /// Reads one more row into the lookahead window. The scan pass
     /// already validated the whole input, so a failure here means the
-    /// bytes changed between scan and replay — an environment error the
-    /// replay cannot recover from mid-simulation.
-    fn read_row(&mut self) {
-        let line = self
-            .reader
-            .next_line()
-            .expect("trace CSV changed between scan and replay");
-        let Some((lineno, line)) = line else {
+    /// bytes changed (or a file went away) between scan and replay; it
+    /// comes back as an error naming the file and line.
+    fn read_row(&mut self) -> Result<()> {
+        let Some((lineno, line)) = self.reader.next_line().map_err(changed_since_scan)? else {
             self.exhausted = true;
-            return;
+            return Ok(());
         };
         // The replay only needs the numeric columns — the function index
         // comes from the scan's dense table — so parse `minute,count`
         // straight off the last two comma-separated fields. Anything the
         // fast path cannot read numerically (the header, blank lines)
         // goes through the shared validating parser, which classifies it
-        // exactly as the scan pass did or panics on changed bytes.
+        // exactly as the scan pass did or rejects changed bytes.
         let (minute, count) = match fast_minute_count(line.as_bytes()) {
             Some(mc) => mc,
-            None => {
-                let Some(row) =
-                    parse_csv_row(line, lineno).expect("trace CSV validated at scan time")
-                else {
-                    return;
-                };
-                (row.minute, row.count)
-            }
+            None => match parse_csv_row(line, lineno) {
+                Ok(Some(row)) => (row.minute, row.count),
+                Ok(None) => return Ok(()),
+                Err(e) => {
+                    let label = &self.reader.files[self.reader.file_idx].label;
+                    return Err(changed_since_scan(qualify_err(e, label)));
+                }
+            },
         };
-        assert!(
-            minute.saturating_add(CSV_LOOKAHEAD_MINUTES) >= self.m_max,
-            "trace CSV changed between scan and replay: line {} breaks the lookahead bound",
-            lineno + 1
-        );
+        if minute.saturating_add(CSV_LOOKAHEAD_MINUTES) < self.m_max {
+            return Err(changed_since_scan(FreedomError::InvalidArgument(format!(
+                "{} breaks the lookahead bound",
+                csv_line_prefix(&self.reader.files[self.reader.file_idx].label, lineno)
+            ))));
+        }
         self.m_max = self.m_max.max(minute);
         if count == 0 {
-            return;
+            return Ok(());
         }
-        let function = self.row_fn[self.reader.file_idx()][lineno];
+        let function = self.row_fn[self.reader.file_idx][lineno];
         debug_assert_ne!(
             function,
             u32::MAX,
@@ -1250,6 +1268,7 @@ impl CsvStream<'_> {
             j: 0,
         }));
         self.peak_open = self.peak_open.max(self.heap.len());
+        Ok(())
     }
 }
 
@@ -1278,10 +1297,6 @@ impl<'a> MultiFileLines<'a> {
             file_idx,
             cur: ChunkedLines::open(&files[file_idx], offset, lineno, chunk)?,
         })
-    }
-
-    fn file_idx(&self) -> usize {
-        self.file_idx
     }
 
     /// Decompressed byte offset of the next unread line in its file.
@@ -1524,7 +1539,7 @@ impl ChunkedLines {
         self.take_line().map(Some)
     }
 
-    fn gz_err(&self, msg: &str) -> FreedomError {
+    fn read_err(&self, msg: &str) -> FreedomError {
         FreedomError::InvalidArgument(format!(
             "{} near line {}: {msg}",
             csv_name(&self.label),
@@ -1540,8 +1555,7 @@ impl ChunkedLines {
             ChunkSrc::Plain(src) => {
                 let start = self.buf.len();
                 self.buf.resize(start + self.chunk, 0);
-                let n = src(&mut self.buf[start..])
-                    .map_err(|e| FreedomError::InvalidArgument(format!("trace CSV read: {e}")))?;
+                let n = src(&mut self.buf[start..]).map_err(|e| self.read_err(&e))?;
                 self.buf.truncate(start + n);
                 if n == 0 {
                     self.eof = true;
@@ -1557,7 +1571,7 @@ impl ChunkedLines {
                         Ok(more) => more,
                         Err(e) => {
                             let msg = e.to_string();
-                            return Err(self.gz_err(&msg));
+                            return Err(self.read_err(&msg));
                         }
                     };
                     if !more {
@@ -1667,14 +1681,15 @@ impl Batches {
 ///
 /// Returns `consume`'s result and the stream's peak resident events.
 /// When `consume` returns early, dropping its end of the channels
-/// unblocks the ingest thread, which the scope then joins. A panic on
-/// the ingest thread (the trace changed between scan and replay) is
-/// re-raised on the caller.
+/// unblocks the ingest thread, which the scope then joins. A read error
+/// on the ingest thread (the trace changed between scan and replay)
+/// ends the batch stream early and is returned in place of the result;
+/// a panic there is re-raised on the caller.
 pub(crate) fn pipelined<T>(
     mut stream: EventStream<'_>,
     boundaries: impl Iterator<Item = u64> + Send,
     consume: impl FnOnce(&mut Batches) -> T,
-) -> (T, usize) {
+) -> Result<(T, usize)> {
     let (full_tx, full_rx) = sync_channel::<Batch>(PIPELINE_DEPTH);
     let (free_tx, free_rx) = sync_channel::<Vec<TraceEvent>>(PIPELINE_DEPTH);
     for _ in 0..PIPELINE_DEPTH {
@@ -1683,7 +1698,7 @@ pub(crate) fn pipelined<T>(
             .expect("the pool fits its channel");
     }
     std::thread::scope(|s| {
-        let ingest = s.spawn(move || {
+        let ingest = s.spawn(move || -> Result<usize> {
             let mut boundaries = boundaries.peekable();
             // `None` once the simulation side hung up.
             let emit = |events: Vec<TraceEvent>, checkpoint| {
@@ -1691,13 +1706,16 @@ pub(crate) fn pipelined<T>(
                 free_rx.recv().ok()
             };
             let Ok(mut events) = free_rx.recv() else {
-                return stream.peak_resident();
+                return Ok(stream.peak_resident());
             };
             loop {
                 // Peek only while a boundary is pending: its checkpoint
                 // is the position before the first event at or after it.
                 if let Some(&b) = boundaries.peek() {
-                    if stream.peek().is_none_or(|e| event_nanos(e.at_secs) >= b) {
+                    if stream
+                        .try_peek()?
+                        .is_none_or(|e| event_nanos(e.at_secs) >= b)
+                    {
                         boundaries.next();
                         let Some(buf) = emit(events, Some(stream.checkpoint())) else {
                             break;
@@ -1706,7 +1724,7 @@ pub(crate) fn pipelined<T>(
                         continue;
                     }
                 }
-                let Some(event) = stream.next() else {
+                let Some(event) = stream.try_next()? else {
                     if !events.is_empty() {
                         let _ = full_tx.send(Batch {
                             events,
@@ -1723,7 +1741,7 @@ pub(crate) fn pipelined<T>(
                     events = buf;
                 }
             }
-            stream.peak_resident()
+            Ok(stream.peak_resident())
         });
         let mut batches = Batches {
             full: full_rx,
@@ -1736,7 +1754,7 @@ pub(crate) fn pipelined<T>(
         let out = consume(&mut batches);
         drop(batches);
         match ingest.join() {
-            Ok(peak) => (out, peak),
+            Ok(peak) => Ok((out, peak?)),
             Err(panic) => std::panic::resume_unwind(panic),
         }
     })

@@ -1,9 +1,9 @@
 //! Pins the replay hot loop's allocation discipline: replaying more
 //! events must not allocate more. Every per-event path — CSV row parse
-//! into the scratch key, completion-heap push/pop, ledger
+//! into the scratch key, event-queue push/pop, ledger
 //! place/release, metering pushes into exact-capacity vectors — is
 //! allocation-free; only per-run and per-window structures (context,
-//! metering headers, the completion heap, the carry itself) allocate,
+//! metering headers, the event queue, the carry itself) allocate,
 //! and their *count* is independent of the event count.
 //!
 //! The guard compares whole-run allocation counts between a small and an
@@ -188,7 +188,7 @@ fn steady_state_replay_allocations_are_event_count_independent() {
 /// `run_stream_resumable_traced` — folding behind the watermark and
 /// encoding a snapshot at every boundary — must not allocate more. The
 /// running metering's tail reuses its capacity across epochs instead of
-/// growing with history. Each epoch rebuilds its ledger and completion
+/// growing with history. Each epoch rebuilds its ledger and event
 /// heap from the carry, which costs O(log in-flight) allocations per
 /// epoch — denser traces hold more placements in flight — so the epoch
 /// count is kept small enough for that term to stay inside `SLACK`.

@@ -380,22 +380,13 @@ fn kill_mid_retry_storm_resumes_bit_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Extracts the message of a caught panic.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(msg) => *msg,
-        Err(payload) => payload
-            .downcast_ref::<&str>()
-            .map_or_else(String::new, |s| s.to_string()),
-    }
-}
-
 /// Replay ingests on a second thread, but a trace file that changed
 /// after the scan must still fail the replay on the caller's thread —
-/// with the reader's own message — for both streaming entry points,
-/// rather than hang or surface as a truncated report.
+/// with a typed error naming the file and line — for both streaming
+/// entry points, rather than hang, panic, or surface as a truncated
+/// report.
 #[test]
-fn changed_csv_panics_on_the_caller_instead_of_hanging() {
+fn changed_csv_fails_with_a_typed_error_instead_of_hanging() {
     let dir = std::env::temp_dir().join(format!("freedom-changed-csv-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("trace.csv");
@@ -421,20 +412,25 @@ fn changed_csv_panics_on_the_caller_instead_of_hanging() {
         freedom_experiments::fleet_simulation::synthetic_plans(FunctionKind::ALL.len(), 4).unwrap();
     let sim = FleetSimulator::new(plans).unwrap();
     let config = faulted_config();
-    let streaming = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        replay(&sim, &lazy, &config)
-    }));
-    let resumable = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        resumable(&sim, &lazy, &config, 60.0, None, |_| Ok(true))
-    }));
+    let streaming = sim
+        .run_stream_traced(
+            &lazy,
+            PlacementStrategy::IdleAware,
+            &config,
+            &mut NoopRecorder,
+        )
+        .map(|_| ());
+    let resumable = resumable(&sim, &lazy, &config, 60.0, None, |_| Ok(true)).map(|_| ());
     std::fs::remove_dir_all(&dir).ok();
-    for (label, outcome) in [
-        ("streaming", streaming.map(|_| ())),
-        ("resumable", resumable.map(|_| ())),
-    ] {
-        let msg = panic_message(outcome.expect_err(label));
+    for (label, outcome) in [("streaming", streaming), ("resumable", resumable)] {
+        let msg = outcome.expect_err(label).to_string();
         assert!(
             msg.contains("trace CSV changed between scan and replay"),
+            "{label}: {msg}"
+        );
+        // Line 2 now holds minute 19; line 3's minute 0 falls behind it.
+        assert!(
+            msg.contains("line 3 breaks the lookahead bound"),
             "{label}: {msg}"
         );
     }
@@ -443,8 +439,9 @@ fn changed_csv_panics_on_the_caller_instead_of_hanging() {
 /// Killing a file-backed multi-file gz replay at its first boundary
 /// returns `Ok(None)` at once: the ingest thread stops within its batch
 /// pool's reach of the kill. The last day file is deleted after the
-/// scan, so an ingest thread that kept reading would panic on it — as
-/// the uninterrupted replay of the same trace does.
+/// scan, so an ingest thread that kept reading would fail on it — as
+/// the uninterrupted replay of the same trace does, with a typed error
+/// naming the file.
 #[test]
 fn killed_gz_multi_file_replay_stops_ingest_promptly() {
     let dir = std::env::temp_dir().join(format!("freedom-gz-kill-{}", std::process::id()));
@@ -482,15 +479,16 @@ fn killed_gz_multi_file_replay_stops_ingest_promptly() {
     assert!(killed.is_none(), "the kill must abort the run");
     assert_eq!(epochs, [1]);
 
-    let full = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        resumable(&sim, &lazy, &config, 60.0, None, |_| Ok(true))
-    }));
+    let full = resumable(&sim, &lazy, &config, 60.0, None, |_| Ok(true));
     std::fs::remove_dir_all(&dir).ok();
-    let msg = panic_message(full.expect_err("reading the deleted day file must fail"));
+    let msg = full
+        .expect_err("reading the deleted day file must fail")
+        .to_string();
     assert!(
         msg.contains("trace CSV changed between scan and replay"),
         "{msg}"
     );
+    assert!(msg.contains("day2.csv.gz"), "{msg}");
 }
 
 /// An arrival gap several epochs long leaves epochs with no events; the
